@@ -1,14 +1,11 @@
 //! Criterion benchmarks for the link-saturating datapath: the chunked
 //! u64 pack/merge kernels against their byte-at-a-time scalar oracles
-//! (same run, same machine — the ≥2× gate in `perf_smoke` reads these),
-//! plus the region-sharded coherence fabric's bulk write path at several
-//! worker counts.
+//! (same run, same machine — the ≥2× gate in `perf_smoke` reads these).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use teco_cxl::coherence::Agent;
 use teco_cxl::dba::{kernels, scalar};
-use teco_cxl::{Aggregator, DbaRegister, ProtocolMode, ShardedCoherence};
-use teco_mem::{Addr, LineData, LINE_BYTES, WORDS_PER_LINE};
+use teco_cxl::{Aggregator, DbaRegister};
+use teco_mem::{LineData, LINE_BYTES, WORDS_PER_LINE};
 
 const RUN_LINES: usize = 1024;
 
@@ -119,28 +116,5 @@ fn bench_checksummed_pairs(c: &mut Criterion) {
     g.finish();
 }
 
-/// Bulk accounted writes through the sharded coherence fabric. The run
-/// length crosses the thread-spawn threshold, so `w2`/`w4` exercise the
-/// scatter → parallel drain → seq-sorted merge pipeline end to end.
-fn bench_sharded_write_run(c: &mut Criterion) {
-    const N: usize = 8192;
-    let mut g = c.benchmark_group("datapath_sharded");
-    g.throughput(Throughput::Bytes((N * LINE_BYTES) as u64));
-    for workers in [1usize, 2, 4] {
-        g.bench_function(format!("write_run_w{workers}"), |b| {
-            let mut fab = ShardedCoherence::new(ProtocolMode::Update, workers);
-            fab.register_region(Addr(0), (N * LINE_BYTES) as u64);
-            b.iter(|| fab.write_run_accounted(Agent::Cpu, 0, black_box(N), 32))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_pack_pairs,
-    bench_merge_pairs,
-    bench_checksummed_pairs,
-    bench_sharded_write_run
-);
+criterion_group!(benches, bench_pack_pairs, bench_merge_pairs, bench_checksummed_pairs);
 criterion_main!(benches);

@@ -19,7 +19,7 @@ const SECTIONS: &[(&str, &[&str])] = &[
     ("coherence_event", &["coherence_event"]),
     ("giant_cache_merge", &["giant_cache_merge"]),
     ("step_throughput", &["step_throughput"]),
-    ("datapath", &["datapath", "datapath_sharded"]),
+    ("datapath", &["datapath"]),
 ];
 
 /// Build `perf_summary.json` from the medians `cargo bench` left behind.

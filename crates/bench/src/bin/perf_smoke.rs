@@ -46,7 +46,6 @@ const TRACKED_PR6: &[&str] = &[
     "aggregator_bulk/dirty_bytes_2",
     "disaggregator_bulk/merge_dirty2",
     "datapath/checksummed_kernel_2",
-    "datapath_sharded/write_run_w1",
 ];
 
 /// (fast, slow, minimum required slow/fast ratio) asserted on the current

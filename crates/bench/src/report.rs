@@ -76,7 +76,7 @@ pub fn snoop_section() -> String {
         })
         .collect();
     s.push_param_lines(base, &lines, SimTime::ZERO).expect("param push");
-    let st = s.coherence().snoop_stats();
+    let st = s.coherence().snoop_filter().stats();
     format!(
         "\n## Snoop-filter occupancy (invalidation mode, 512-line push)\n\n\
          | metric | value |\n|---|---|\n\
@@ -136,24 +136,21 @@ pub fn resume_section() -> String {
     )
 }
 
-/// The datapath section: the sharded-coherence determinism contract as a
-/// table. Every (protocol, fault) group runs at coherence workers
-/// ∈ {1, 2, 4}; the digest column is FNV-1a over the serialized session
-/// snapshot, so "same digest down a group" *is* the byte-identity claim.
+/// The datapath section: the session end state of every (protocol, fault)
+/// cell as a table. The digest column is FNV-1a over the serialized
+/// session snapshot, so any change to the end state shows up there.
 /// Serial render for the same reason as [`scaling_section`].
 pub fn datapath_section() -> String {
     let rows = sweeps::datapath_rows_with_workers(1);
-    let bad = sweeps::datapath_divergences(&rows);
     let mut out = String::from(
-        "\n## Sharded datapath determinism (workers \u{2208} {1, 2, 4} vs serial)\n\n\
-         | workers | faults | protocol | sim \u{b5}s | to-device bytes | retries | \
+        "\n## Datapath end states (protocol \u{d7} faults)\n\n\
+         | faults | protocol | sim \u{b5}s | to-device bytes | retries | \
          checksum mismatches | snoop peak | snapshot digest |\n\
-         |---|---|---|---|---|---|---|---|---|\n",
+         |---|---|---|---|---|---|---|---|\n",
     );
     for r in &rows {
         out.push_str(&format!(
-            "| {} | {} | {} | {:.3} | {} | {} | {} | {} | `{}` |\n",
-            r.workers,
+            "| {} | {} | {:.3} | {} | {} | {} | {} | `{}` |\n",
             if r.faulty { "on" } else { "off" },
             if r.invalidation { "invalidation" } else { "update" },
             r.sim_time_ns as f64 / 1e3,
@@ -164,14 +161,6 @@ pub fn datapath_section() -> String {
             r.snapshot_digest,
         ));
     }
-    out.push_str(&format!(
-        "\nworker-invariance: {}\n",
-        if bad.is_empty() {
-            "every worker count reproduced the serial end state bit-for-bit".to_string()
-        } else {
-            format!("DIVERGED — {}", bad.join("; "))
-        }
-    ));
     out
 }
 

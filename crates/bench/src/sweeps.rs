@@ -344,10 +344,7 @@ pub fn scaling_points(rows: &[ScalingRow]) -> Vec<ScalingPoint> {
 // Datapath sweep
 // ---------------------------------------------------------------------------
 
-/// Lines in the datapath sweep's parameter region — above
-/// [`teco_cxl::PARALLEL_BATCH_LINES`], so sharded cells cross the
-/// thread-spawn threshold and exercise the scatter → parallel drain →
-/// seq-sorted merge pipeline, not just the serial fallback.
+/// Lines in the datapath sweep's parameter region.
 pub const DATAPATH_LINES: u64 = 5000;
 /// Gradient lines per round (device→CPU direction).
 pub const DATAPATH_GRAD_LINES: u64 = 256;
@@ -359,36 +356,28 @@ pub const DATAPATH_SEED: u64 = 1234;
 /// One cell of the datapath sweep's grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DatapathCell {
-    /// Coherence worker shards (1 = the serial engine).
-    pub workers: usize,
     /// Fault model on?
     pub faulty: bool,
     /// Invalidation mode instead of the update protocol?
     pub invalidation: bool,
 }
 
-/// The grid: protocol-major, then fault, then workers ∈ {1, 2, 4} — so
-/// each group of three adjacent rows must be identical up to `workers`.
+/// The grid: protocol-major, then fault.
 pub fn datapath_grid() -> Vec<DatapathCell> {
     let mut cells = Vec::new();
     for &invalidation in &[false, true] {
         for &faulty in &[false, true] {
-            for &workers in &[1usize, 2, 4] {
-                cells.push(DatapathCell { workers, faulty, invalidation });
-            }
+            cells.push(DatapathCell { faulty, invalidation });
         }
     }
     cells
 }
 
-/// One row of `bench_results/datapath_sweep.json`. Everything except
-/// `workers` must be byte-identical across the worker counts of a
-/// (protocol, fault) group — that is the determinism contract the
-/// sharded fabric ships under, and the CI datapath-smoke job diffs it.
+/// One row of `bench_results/datapath_sweep.json`: a session's end state
+/// after the fixed workload. Seeded throughout, so the CI datapath-smoke
+/// job can diff two runs byte for byte.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatapathRow {
-    /// Coherence worker shards.
-    pub workers: usize,
     /// Fault model on?
     pub faulty: bool,
     /// Invalidation mode?
@@ -424,8 +413,8 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{h:016x}")
 }
 
-/// Run the fixed datapath workload at a worker count and serialize the
-/// end state.
+/// Run the fixed datapath workload in one cell and serialize the end
+/// state.
 pub fn datapath_row(cell: &DatapathCell) -> DatapathRow {
     let fault = if cell.faulty {
         FaultConfig {
@@ -450,7 +439,6 @@ pub fn datapath_row(cell: &DatapathCell) -> DatapathRow {
         cfg = cfg.with_protocol(teco_cxl::ProtocolMode::Invalidation);
     }
     let mut s = TecoSession::new(cfg).expect("valid config");
-    s.set_coherence_workers(cell.workers);
     let (_, pbase) = s.alloc_tensor("params", DATAPATH_LINES * 64).expect("alloc params");
     let (_, gbase) = s.alloc_tensor("grads", DATAPATH_GRAD_LINES * 64).expect("alloc grads");
     let mut now = SimTime::ZERO;
@@ -466,15 +454,14 @@ pub fn datapath_row(cell: &DatapathCell) -> DatapathRow {
     }
     let snap_json = serde_json::to_string(&s.snapshot()).expect("serialize snapshot");
     let r = s.fault_report();
-    let snoop = s.coherence().snoop_stats();
+    let snoop = s.coherence().snoop_filter().stats();
     DatapathRow {
-        workers: cell.workers,
         faulty: cell.faulty,
         invalidation: cell.invalidation,
         sim_time_ns: now.as_ns(),
         bytes_to_device: s.stats().bytes_to_device,
         bytes_to_host: s.stats().bytes_to_host,
-        coherence_control_bytes: s.coherence().to_device().control_bytes,
+        coherence_control_bytes: s.coherence().to_device.control_bytes,
         snoop_entries: snoop.entries,
         snoop_peak: snoop.peak_entries,
         link_retries: r.retries,
@@ -483,8 +470,7 @@ pub fn datapath_row(cell: &DatapathCell) -> DatapathRow {
     }
 }
 
-/// The full datapath sweep at an explicit worker count (sweep workers,
-/// not coherence shards — each cell pins its own shard count).
+/// The full datapath sweep at an explicit worker count.
 pub fn datapath_rows_with_workers(workers: usize) -> Vec<DatapathRow> {
     let grid = datapath_grid();
     sweep_with_workers(&grid, workers, |_, cell| datapath_row(cell))
@@ -493,31 +479,6 @@ pub fn datapath_rows_with_workers(workers: usize) -> Vec<DatapathRow> {
 /// The full datapath sweep across all cores.
 pub fn datapath_rows() -> Vec<DatapathRow> {
     datapath_rows_with_workers(teco_dl::num_cores())
-}
-
-/// Worker-invariance check: rows that differ only in `workers` must agree
-/// on every other field, snapshot digest included. Returns the offending
-/// descriptions (empty = the determinism contract holds).
-pub fn datapath_divergences(rows: &[DatapathRow]) -> Vec<String> {
-    let mut bad = Vec::new();
-    for r in rows {
-        let Some(serial) = rows
-            .iter()
-            .find(|s| s.workers == 1 && s.faulty == r.faulty && s.invalidation == r.invalidation)
-        else {
-            bad.push(format!("no serial row for faulty={} inval={}", r.faulty, r.invalidation));
-            continue;
-        };
-        let mut want = serial.clone();
-        want.workers = r.workers;
-        if *r != want {
-            bad.push(format!(
-                "workers={} faulty={} inval={} diverges from serial (digest {} vs {})",
-                r.workers, r.faulty, r.invalidation, r.snapshot_digest, serial.snapshot_digest
-            ));
-        }
-    }
-    bad
 }
 
 // ---------------------------------------------------------------------------
@@ -1524,26 +1485,12 @@ mod tests {
     }
 
     #[test]
-    fn datapath_grid_is_worker_adjacent() {
+    fn datapath_grid_is_protocol_major() {
         let grid = datapath_grid();
-        assert_eq!(grid.len(), 12);
-        assert_eq!(grid[0], DatapathCell { workers: 1, faulty: false, invalidation: false });
-        assert_eq!(grid[1], DatapathCell { workers: 2, faulty: false, invalidation: false });
-        assert_eq!(grid[2], DatapathCell { workers: 4, faulty: false, invalidation: false });
-    }
-
-    #[test]
-    fn datapath_rows_are_worker_invariant_in_miniature() {
-        // One (faulty, invalidation) group end to end — the full grid runs
-        // in the datapath_sweep binary and the CI datapath-smoke job.
-        let rows: Vec<DatapathRow> = [1usize, 2, 4]
-            .iter()
-            .map(|&workers| {
-                datapath_row(&DatapathCell { workers, faulty: true, invalidation: false })
-            })
-            .collect();
-        assert_eq!(datapath_divergences(&rows), Vec::<String>::new());
-        assert!(rows[0].link_retries > 0, "fault model should have fired");
+        assert_eq!(grid.len(), 4);
+        assert_eq!(grid[0], DatapathCell { faulty: false, invalidation: false });
+        assert_eq!(grid[1], DatapathCell { faulty: true, invalidation: false });
+        assert_eq!(grid[2], DatapathCell { faulty: false, invalidation: true });
     }
 
     #[test]

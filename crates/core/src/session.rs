@@ -16,12 +16,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use teco_cxl::{
     audit_all, line_checksum, merged_reference, Agent, Aggregator, AggregatorSnapshot, AuditError,
-    CoherenceFabric, CoherenceSnapshot, CxlFence, CxlLink, CxlLinkSnapshot, CxlPacket, DbaRegister,
+    CoherenceEngine, CoherenceSnapshot, CxlFence, CxlLink, CxlLinkSnapshot, CxlPacket, DbaRegister,
     Direction, FaultStats, FenceDeadline, FenceStats, FenceTimeout, GiantCache, GiantCacheError,
     GiantCacheSnapshot, LinkError, MediaRas, MediaRasSnapshot, Opcode, ProtocolMode, RasStats,
 };
 use teco_mem::tier::Tier;
-use teco_mem::{Addr, LineData, RegionId, LINE_BYTES};
+use teco_mem::{Addr, LineData, LineSlot, RegionId, LINE_BYTES};
 use teco_sim::{Interval, SimTime};
 
 /// Statistics a session accumulates.
@@ -140,8 +140,8 @@ pub struct TecoSession {
     /// Accelerator memory mapped into the coherence domain (owns the
     /// Disaggregator).
     giant_cache: GiantCache,
-    /// The MESI(+update) engine, behind the serial-or-sharded fabric.
-    coherence: CoherenceFabric,
+    /// The MESI(+update) engine.
+    coherence: CoherenceEngine,
     /// The physical link.
     link: CxlLink,
     /// CXLFENCE bookkeeping.
@@ -191,7 +191,7 @@ impl TecoSession {
         Ok(TecoSession {
             aggregator: Aggregator::new(),
             giant_cache,
-            coherence: CoherenceFabric::new(cfg.protocol),
+            coherence: CoherenceEngine::new(cfg.protocol),
             link: CxlLink::new(cfg.cxl),
             fence: CxlFence::new(),
             dba_active: false,
@@ -229,21 +229,9 @@ impl TecoSession {
     pub fn giant_cache(&self) -> &GiantCache {
         &self.giant_cache
     }
-    /// The coherence fabric (serial engine or region shards).
-    pub fn coherence(&self) -> &CoherenceFabric {
+    /// The coherence engine.
+    pub fn coherence(&self) -> &CoherenceEngine {
         &self.coherence
-    }
-    /// Coherence worker shards (1 = the serial engine, the default).
-    pub fn coherence_workers(&self) -> usize {
-        self.coherence.workers()
-    }
-    /// Re-shard the coherence engine across `workers` region shards (1
-    /// restores the serial engine). Observable behavior — packets, counts,
-    /// traffic, snapshots — is byte-identical at any worker count; only
-    /// bulk-push wall clock changes. A runtime knob, deliberately not part
-    /// of [`TecoConfig`] or the checkpoint image.
-    pub fn set_coherence_workers(&mut self, workers: usize) {
-        self.coherence.set_workers(workers);
     }
     /// The link.
     pub fn link(&self) -> &CxlLink {
@@ -464,23 +452,25 @@ impl TecoSession {
         let latency = if aggregated { self.cfg.cxl.aggregator_latency } else { SimTime::ZERO };
         let mut iv = Interval::new(now, now);
         // One span lookup covers the whole run when the region is
-        // registered; the whole run then hits the coherence fabric in one
-        // call — the serial engine loops the dense slots in order, a
-        // sharded fabric scatters them to region shards and merges the
-        // outcome in (time, seq) order. The link is charged per line
-        // afterwards; link state is independent of coherence state, so
-        // timing is identical to the interleaved per-line ordering.
-        let run = self.coherence.resolve_run(base, n);
-        let pushed = match run {
-            Some(start) => self.coherence.write_run_accounted(Agent::Cpu, start, n, per),
-            None => {
-                let mut all = true;
-                for i in 0..n {
-                    all &= self.coherence.write_accounted(Agent::Cpu, addr_of(i), per);
+        // registered; each line then hits the coherence engine through its
+        // dense slot with no per-line address math or hashing. The link is
+        // charged per line afterwards; link state is independent of
+        // coherence state, so timing is identical to the interleaved
+        // per-line ordering.
+        let mut pushed = true;
+        match self.coherence.resolve_run(base, n) {
+            Some(start) => {
+                for k in 0..n {
+                    let slot = LineSlot::Dense(start + k);
+                    pushed &= self.coherence.write_accounted_at(Agent::Cpu, slot, per);
                 }
-                all
             }
-        };
+            None => {
+                for i in 0..n {
+                    pushed &= self.coherence.write_accounted(Agent::Cpu, addr_of(i), per);
+                }
+            }
+        }
         debug_assert!(pushed || self.cfg.protocol == ProtocolMode::Invalidation);
         for i in 0..n {
             let t = self.link.transfer(Direction::ToDevice, now, per as u64, latency);
@@ -791,13 +781,8 @@ impl TecoSession {
     pub fn run_audit(&self) -> Result<(), SessionError> {
         match &self.shadow {
             None => Ok(()),
-            Some(shadow) => audit_all(
-                &self.coherence.serial_equivalent(),
-                &self.giant_cache,
-                &self.link,
-                shadow,
-            )
-            .map_err(SessionError::Audit),
+            Some(shadow) => audit_all(&self.coherence, &self.giant_cache, &self.link, shadow)
+                .map_err(SessionError::Audit),
         }
     }
 
@@ -945,7 +930,7 @@ impl TecoSession {
             cfg: s.cfg.clone(),
             aggregator: Aggregator::restore(&s.aggregator),
             giant_cache: GiantCache::restore(&s.giant_cache),
-            coherence: CoherenceFabric::restore(&s.coherence),
+            coherence: CoherenceEngine::restore(&s.coherence),
             link: CxlLink::restore(&s.link),
             fence: CxlFence::from_stats(s.fence),
             dba_active: s.dba_active,
@@ -1179,8 +1164,8 @@ mod tests {
             assert_eq!(iv_a.unwrap(), iv_b);
             assert_eq!(a.stats().param_lines, b.stats().param_lines);
             assert_eq!(a.stats().bytes_to_device, b.stats().bytes_to_device);
-            assert_eq!(a.coherence().to_device(), b.coherence().to_device());
-            assert_eq!(a.coherence().to_host(), b.coherence().to_host());
+            assert_eq!(a.coherence().to_device, b.coherence().to_device);
+            assert_eq!(a.coherence().to_host, b.coherence().to_host);
             assert_eq!(a.link().volume(Direction::ToDevice), b.link().volume(Direction::ToDevice));
             for i in 0..8u64 {
                 assert_eq!(

@@ -388,12 +388,10 @@ fn unpack_merge_line(payload: &[u8], n: usize, resident: &mut LineData) {
 /// Each kernel consumes and produces whole `u64` lanes: a 64-byte line is
 /// eight `u64` loads, and every output `u64` is assembled with shift/OR
 /// swizzles from those lanes. The loop bodies are branch-free with
-/// independent lanes, which LLVM autovectorizes on any SSE2+/NEON target
-/// (an optional lane-explicit `std::simd` layout of the same swizzles
-/// lives in [`super::simd`] behind the nightly-only `portable-simd`
-/// feature). The pre-vectorization word-at-a-time kernels are kept
-/// verbatim in [`super::scalar`] as the proptest oracle, exactly as
-/// `refmaps` keeps the hash-map arenas.
+/// independent lanes, which LLVM autovectorizes on any SSE2+/NEON target.
+/// The pre-vectorization word-at-a-time kernels are kept verbatim in
+/// [`super::scalar`] as the proptest oracle, exactly as `refmaps` keeps
+/// the hash-map arenas.
 ///
 /// All loads/stores go through `u64::{from,to}_le_bytes` on byte slices,
 /// so neither the payload nor the resident region needs any alignment —
@@ -731,56 +729,6 @@ pub mod scalar {
                     set(resident, w + 3, (word(resident, w + 3) & keep) | (v2 >> 8));
                 }
             }
-        }
-    }
-}
-
-/// Lane-explicit `std::simd` layout of the pack/merge swizzles.
-///
-/// Nightly-only (`--features portable-simd`); the shipped path is
-/// [`kernels`], whose scalar-`u64` swizzles LLVM already autovectorizes.
-/// This module exists to pin the intended lane layout explicitly for
-/// targets where autovectorization misfires.
-#[cfg(feature = "portable-simd")]
-pub mod simd {
-    use std::simd::{num::SimdUint, u64x4};
-    use teco_mem::line::{LINE_BYTES, WORDS_PER_LINE};
-
-    /// [`super::kernels::pack_run`] for `n = 2` with explicit 4×u64 lanes:
-    /// each vector lane gathers the low half-words of two adjacent FP32
-    /// words, and two gathered vectors interleave into one output vector.
-    pub fn pack_run_2(src: &[u8], dst: &mut [u8]) {
-        assert_eq!(src.len() % LINE_BYTES, 0, "source must be whole lines");
-        let per = WORDS_PER_LINE * 2;
-        assert_eq!(dst.len(), (src.len() / LINE_BYTES) * per, "payload size mismatch");
-        for (s, d) in src.chunks_exact(LINE_BYTES).zip(dst.chunks_exact_mut(per)) {
-            let load = |o: usize| {
-                u64x4::from_array([
-                    u64::from_le_bytes(s[o..o + 8].try_into().unwrap()),
-                    u64::from_le_bytes(s[o + 16..o + 24].try_into().unwrap()),
-                    u64::from_le_bytes(s[o + 32..o + 40].try_into().unwrap()),
-                    u64::from_le_bytes(s[o + 48..o + 56].try_into().unwrap()),
-                ])
-            };
-            let half2 =
-                |x: u64x4| (x & u64x4::splat(0xFFFF)) | ((x >> 16) & u64x4::splat(0xFFFF_0000));
-            let v = half2(load(0)) | (half2(load(8)) << 32);
-            for (lane, chunk) in v.to_array().into_iter().zip(d.chunks_exact_mut(8)) {
-                chunk.copy_from_slice(&lane.to_le_bytes());
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn matches_autovectorized_kernel() {
-            let src: Vec<u8> = (0..4 * 64).map(|i| (i * 37 + 11) as u8).collect();
-            let mut a = vec![0u8; 4 * 32];
-            let mut b = vec![0u8; 4 * 32];
-            super::pack_run_2(&src, &mut a);
-            super::super::kernels::pack_run(&src, 2, &mut b);
-            assert_eq!(a, b);
         }
     }
 }

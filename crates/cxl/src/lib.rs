@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 //! # teco-cxl — the CXL interconnect with TECO's extensions
 //!
 //! This crate implements the hardware side of the paper's contribution:
@@ -27,10 +26,6 @@
 //! - [`arbiter`]: the shared host-DRAM budget arbitrated round-robin across
 //!   the devices of a multi-accelerator cluster, with update-mode broadcast
 //!   fan-out accounting;
-//! - [`shard`]: the region-sharded coherence fabric — the engine + snoop
-//!   filter split block-cyclically across worker shards with a
-//!   deterministic `(time, seq)` merge, snapshot-byte-identical to the
-//!   serial engine;
 //! - [`collective`]: pool-staged inter-host collectives (reduce-scatter /
 //!   all-gather / fused all-reduce through the shared pool, one write +
 //!   N−1 reads) and the NCCL-style ring all-reduce baseline they are
@@ -52,7 +47,6 @@ pub mod link;
 pub mod packet;
 pub mod ras;
 pub mod refmaps;
-pub mod shard;
 pub mod snoop;
 
 pub use arbiter::{HostAccount, HostLinkArbiter, HostLinkArbiterSnapshot};
@@ -91,7 +85,6 @@ pub use link::{CxlLink, CxlLinkSnapshot, Direction, LinkError, TransferOutcome};
 pub use packet::{wire_bytes_for_lines, CxlPacket, Opcode, HEADER_BYTES, MAX_PAYLOAD_BYTES};
 pub use ras::{MediaRas, MediaRasSnapshot, RasConfig, RasStats};
 pub use refmaps::{HashCoherenceEngine, HashGiantCache, HashSnoopFilter};
-pub use shard::{CoherenceFabric, ShardedCoherence, PARALLEL_BATCH_LINES, SHARD_BLOCK_LINES};
 pub use snoop::{
     full_directory_bytes, SnoopFilter, SnoopFilterSnapshot, SnoopStats, BYTES_PER_ENTRY,
 };

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use teco::core::{
     run_resumed, run_uninterrupted, KillPoint, ResumeWorkload, StepBoundary, TecoTrainer,
 };
-use teco::cxl::FaultConfig;
+use teco::cxl::{FaultConfig, ProtocolMode};
 use teco::dl::data::MarkovTextGen;
 use teco::dl::{
     capture_params, restore_params, AdamConfig, OffloadedAdam, TinyGpt, TinyGptConfig, Visitable,
@@ -158,14 +158,27 @@ fn faulty_workload(seed: u64) -> ResumeWorkload {
     w
 }
 
+/// [`faulty_workload`] under the invalidation fallback, so the snoop
+/// directory is populated when the snapshot is taken.
+fn faulty_invalidation_workload(seed: u64) -> ResumeWorkload {
+    let mut w = faulty_workload(seed);
+    w.cfg = w.cfg.with_protocol(ProtocolMode::Invalidation);
+    w
+}
+
 /// Kill+resume equivalence through the umbrella crate: the resumed run's
 /// JSON report is byte-identical to the uninterrupted run's, for both a
 /// zero-fault and a heavily faulty configuration (the latter snapshots the
-/// fault injector's RNG mid-schedule), and resuming is itself
-/// deterministic: two resumed runs produce equal outcomes.
+/// fault injector's RNG mid-schedule, under both protocol modes), and
+/// resuming is itself deterministic: two resumed runs produce equal
+/// outcomes.
 #[test]
 fn resume_equivalence_zero_fault_and_faulty() {
-    for (name, w) in [("zero-fault", ResumeWorkload::small(3)), ("faulty", faulty_workload(3))] {
+    for (name, w) in [
+        ("zero-fault", ResumeWorkload::small(3)),
+        ("faulty", faulty_workload(3)),
+        ("faulty invalidation", faulty_invalidation_workload(3)),
+    ] {
         let base = run_uninterrupted(&w).expect("uninterrupted run completes");
         let base_json = serde_json::to_string(&base.report).expect("serialize baseline");
         for boundary in [
@@ -186,10 +199,11 @@ fn resume_equivalence_zero_fault_and_faulty() {
 }
 
 /// Audit-enabled runs pass cleanly on the stock workload configs — with
-/// and without the fault model, interrupted and not.
+/// and without the fault model, under both protocol modes, interrupted
+/// and not.
 #[test]
 fn audited_runs_stay_clean() {
-    for w in [ResumeWorkload::small(9), faulty_workload(9)] {
+    for w in [ResumeWorkload::small(9), faulty_workload(9), faulty_invalidation_workload(9)] {
         let mut w = w;
         w.cfg = w.cfg.with_audit(true);
         let base = run_uninterrupted(&w).expect("audited run completes");
