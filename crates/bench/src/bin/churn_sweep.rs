@@ -11,60 +11,25 @@
 //! patrol-scrubbed, retired to spares, and rebuilt from the clean pooled
 //! copy before any poisoned byte reaches a parameter.
 //!
-//! The row computation lives in [`teco_bench::sweeps`]. Everything is
-//! seeded and formulaic: running this binary twice produces
-//! byte-identical `bench_results/churn_sweep.json` (the CI chaos-smoke
-//! job diffs exactly that). There is no paper baseline — the paper
-//! evaluates a single fault-free accelerator; this sweep is the model's
-//! prediction for the elastic-recovery regime (see EXPERIMENTS.md).
+//! The row computation lives in [`teco_bench::sweeps`]; stdout is the
+//! REPORT.md churn section rendered from the same rows, and the binary
+//! exits nonzero if any cell failed to converge. Everything is seeded and
+//! formulaic: running this binary twice produces byte-identical
+//! `bench_results/churn_sweep.json` (the CI sweep-smoke job diffs exactly
+//! that). There is no paper baseline — the paper evaluates a single
+//! fault-free accelerator; this sweep is the model's prediction for the
+//! elastic-recovery regime (see EXPERIMENTS.md).
 
+use teco_bench::dump_json;
+use teco_bench::report::churn_section;
 use teco_bench::sweeps::churn_rows;
-use teco_bench::{dump_json, f, header, row};
 
 fn main() {
-    header("Churn sweep", "device loss × media faults × N over a shared CXL pool");
-    row(&[
-        "devices".into(),
-        "kill".into(),
-        "media rate".into(),
-        "down".into(),
-        "readmits".into(),
-        "rerouted".into(),
-        "faults".into(),
-        "retired".into(),
-        "rebuilds".into(),
-        "cluster ms".into(),
-        "converged".into(),
-    ]);
-    let out = churn_rows();
-    for r in &out {
-        row(&[
-            r.devices.to_string(),
-            r.kill_mode.clone(),
-            f(r.media_rate),
-            r.down_events.to_string(),
-            r.readmits.to_string(),
-            r.redistributed_lines.to_string(),
-            r.ras_faults_injected.to_string(),
-            r.ras_lines_retired.to_string(),
-            r.ras_rebuilds.to_string(),
-            f(r.cluster_time_ns as f64 / 1e6),
-            if r.converged { "yes".into() } else { "NO".into() },
-        ]);
-    }
-    let diverged: Vec<String> = out
-        .iter()
-        .filter(|r| !r.converged)
-        .map(|r| format!("N={} kill={} rate={}", r.devices, r.kill_mode, r.media_rate))
-        .collect();
-    if diverged.is_empty() {
-        println!("\nevery cell converged: the pool and every live replica ended");
-        println!("byte-identical to its never-failed, fault-free baseline.");
-    } else {
-        println!("\nDIVERGED cells: {}", diverged.join("; "));
-    }
-    dump_json("churn_sweep", &out);
-    if !diverged.is_empty() {
+    let rows = churn_rows();
+    print!("{}", churn_section(&rows));
+    dump_json("churn_sweep", &rows);
+    if rows.iter().any(|r| !r.converged) {
+        eprintln!("churn_sweep: a cell diverged from its never-failed baseline");
         std::process::exit(1);
     }
 }

@@ -11,78 +11,25 @@
 //! so the sweep asserts bit-identical results cell by cell.
 //!
 //! The row computation lives in [`teco_bench::sweeps`], where the
-//! determinism test matrix pins serial against parallel execution.
-//! Everything is seeded: running this binary twice produces
-//! byte-identical `bench_results/collective_sweep.json` (the CI
-//! collective-smoke job diffs exactly that). The binary is also the
-//! acceptance gate: it exits nonzero if any cell fails to beat the ring
-//! on time *or* bytes, if any cell's bits diverge, or if any fabric row
-//! perturbs host 0 away from the standalone single-host path.
+//! determinism test matrix pins serial against parallel execution; stdout
+//! is the REPORT.md collective section rendered from the same rows (the
+//! fabric anchor rows and byte ratios are in the JSON). Everything is
+//! seeded: running this binary twice produces byte-identical
+//! `bench_results/collective_sweep.json` (the CI sweep-smoke job diffs
+//! exactly that). The binary is also the acceptance gate: it exits nonzero
+//! if any cell fails to beat the ring on time *or* bytes, if any cell's
+//! bits diverge, or if any fabric row perturbs host 0 away from the
+//! standalone single-host path.
 
+use teco_bench::dump_json;
+use teco_bench::report::collective_section;
 use teco_bench::sweeps::{collective_divergences, collective_sweep};
-use teco_bench::{dump_json, f, header, row};
 
 fn main() {
-    let out = collective_sweep();
-
-    header("Fabric anchor", "H-host training fabrics over one shared CXL pool");
-    row(&[
-        "hosts".into(),
-        "devices".into(),
-        "fabric ms".into(),
-        "exchange ms".into(),
-        "port MB".into(),
-        "fan-in MB".into(),
-        "host0 ok".into(),
-    ]);
-    for r in &out.fabric {
-        row(&[
-            r.hosts.to_string(),
-            r.devices_per_host.to_string(),
-            f(r.fabric_time_ns as f64 / 1e6),
-            f(r.exchange_ns as f64 / 1e6),
-            f(r.pool_port_bytes as f64 / 1e6),
-            f(r.fanin_saved_bytes as f64 / 1e6),
-            if r.host0_matches_cluster { "yes".into() } else { "NO".into() },
-        ]);
-    }
-
-    header("Collective sweep", "pool-staged all-reduce vs point-to-point ring");
-    row(&[
-        "hosts".into(),
-        "grad MB".into(),
-        "pool ms".into(),
-        "ring ms".into(),
-        "speedup".into(),
-        "pool MB".into(),
-        "ring MB".into(),
-        "byte ratio".into(),
-        "match".into(),
-    ]);
-    for r in &out.collective {
-        row(&[
-            r.hosts.to_string(),
-            (r.grad_bytes >> 20).to_string(),
-            f(r.pool_ns as f64 / 1e6),
-            f(r.ring_ns as f64 / 1e6),
-            f(r.speedup),
-            f(r.pool_port_bytes as f64 / 1e6),
-            f(r.ring_link_bytes as f64 / 1e6),
-            f(r.byte_ratio),
-            if r.results_match { "yes".into() } else { "NO".into() },
-        ]);
-    }
-
-    let bad = collective_divergences(&out);
-    if bad.is_empty() {
-        println!("\nevery cell: pool beat the ring on completion time and moved bytes,");
-        println!("both paths reduced to bit-identical gradients, and host 0 of every");
-        println!("fabric stayed byte-identical to the standalone single-host path.");
-    } else {
-        println!("\nGATE FAILURES: {}", bad.join("; "));
-    }
-    dump_json("collective_sweep", &out);
-    if !bad.is_empty() {
+    let sweep = collective_sweep();
+    print!("{}", collective_section(&sweep));
+    dump_json("collective_sweep", &sweep);
+    if !collective_divergences(&sweep).is_empty() {
         std::process::exit(1);
     }
 }

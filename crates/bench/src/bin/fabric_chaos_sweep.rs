@@ -12,59 +12,24 @@
 //! are patrol-scrubbed and caught on access; no poisoned byte ever
 //! reaches a reduction.
 //!
-//! The row computation lives in [`teco_bench::sweeps`]. Everything is
-//! seeded and formulaic: running this binary twice produces
-//! byte-identical `bench_results/fabric_chaos_sweep.json` (the CI
-//! fabric-chaos-smoke job diffs exactly that). There is no paper
-//! baseline — the paper evaluates a single fault-free host; this sweep
-//! is the model's prediction for the degraded-collective regime (see
-//! EXPERIMENTS.md).
+//! The row computation lives in [`teco_bench::sweeps`]; stdout is the
+//! REPORT.md chaos section rendered from the same rows, and the binary
+//! exits nonzero if its gate fails. Everything is seeded and formulaic:
+//! running this binary twice produces byte-identical
+//! `bench_results/fabric_chaos_sweep.json` (the CI sweep-smoke job diffs
+//! exactly that). There is no paper baseline — the paper evaluates a single
+//! fault-free host; this sweep is the model's prediction for the
+//! degraded-collective regime (see EXPERIMENTS.md).
 
+use teco_bench::dump_json;
+use teco_bench::report::chaos_section;
 use teco_bench::sweeps::{chaos_divergences, chaos_rows};
-use teco_bench::{dump_json, f, header, row};
 
 fn main() {
-    header("Fabric chaos sweep", "host loss × media faults × H over the pool-staged collective");
-    row(&[
-        "hosts".into(),
-        "kill".into(),
-        "media rate".into(),
-        "detect".into(),
-        "regroup".into(),
-        "readmit".into(),
-        "retries".into(),
-        "media det".into(),
-        "ring fb".into(),
-        "poisoned".into(),
-        "fabric ms".into(),
-        "converged".into(),
-    ]);
-    let out = chaos_rows();
-    for r in &out {
-        row(&[
-            r.hosts.to_string(),
-            r.kill_phase.clone(),
-            f(r.media_rate),
-            r.detections.to_string(),
-            r.regroups.to_string(),
-            r.readmissions.to_string(),
-            r.chunk_retries.to_string(),
-            r.media_detections.to_string(),
-            r.ring_fallbacks.to_string(),
-            r.poisoned_admitted.to_string(),
-            f(r.fabric_time_ns as f64 / 1e6),
-            if r.converged { "yes".into() } else { "NO".into() },
-        ]);
-    }
-    let diverged = chaos_divergences(&out);
-    if diverged.is_empty() {
-        println!("\nevery cell converged: degraded and readmitted fabrics ended");
-        println!("byte-identical to their never-failed goldens, zero poisoned bytes.");
-    } else {
-        println!("\nDIVERGED cells: {}", diverged.join("; "));
-    }
-    dump_json("fabric_chaos_sweep", &out);
-    if !diverged.is_empty() {
+    let rows = chaos_rows();
+    print!("{}", chaos_section(&rows));
+    dump_json("fabric_chaos_sweep", &rows);
+    if !chaos_divergences(&rows).is_empty() {
         std::process::exit(1);
     }
 }

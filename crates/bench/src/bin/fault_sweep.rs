@@ -8,7 +8,7 @@
 //! The row computation lives in [`teco_bench::sweeps`], where the
 //! determinism test matrix pins serial against parallel execution.
 //! Everything is seeded: running this binary twice produces byte-identical
-//! `bench_results/fault_sweep.json` (the CI fault-smoke job diffs exactly
+//! `bench_results/fault_sweep.json` (the CI sweep-smoke job diffs exactly
 //! that).
 
 use teco_bench::sweeps::fault_rows;

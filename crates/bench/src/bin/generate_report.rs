@@ -9,6 +9,7 @@ use teco_bench::report::{
     chaos_section, churn_section, collective_section, datapath_section, fault_section,
     placement_section, resume_section, scaling_section, snoop_section,
 };
+use teco_bench::sweeps;
 use teco_offload::{timing_report, Calibration};
 
 /// Which `criterion_medians.json` groups feed each perf-summary section.
@@ -57,12 +58,12 @@ fn main() {
         fault_section(),
         snoop_section(),
         resume_section(),
-        scaling_section(),
-        datapath_section(),
-        churn_section(),
-        collective_section(),
-        chaos_section(),
-        placement_section()
+        scaling_section(&sweeps::scaling_rows()),
+        datapath_section(&sweeps::datapath_rows()),
+        churn_section(&sweeps::churn_rows()),
+        collective_section(&sweeps::collective_sweep()),
+        chaos_section(&sweeps::chaos_rows()),
+        placement_section(&sweeps::placement_rows())
     );
     std::fs::create_dir_all("bench_results").expect("create bench_results/");
     let path = "bench_results/REPORT.md";

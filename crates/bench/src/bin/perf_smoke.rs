@@ -2,21 +2,19 @@
 //!
 //! Compares the Criterion medians of the current run
 //! (`bench_results/criterion_medians.json`, written by `cargo bench`)
-//! against the committed baselines (`bench_results/BENCH_pr3.json` for
-//! the arena rewrites, `bench_results/BENCH_pr6.json` for the datapath
-//! kernels) and fails on a >25 % regression of any tracked key. It also
-//! re-checks the speedup claims *within the current run* — fast path vs
-//! the retained reference measured on the same machine moments apart —
-//! so the ≥2× bounds never depend on cross-machine comparisons. Finally
-//! it holds the bulk aggregator to the modeled link bandwidth: the wire
-//! feeding a PCIe-3.0×16-class CXL link is ~15 GB/s, and a datapath that
-//! can't outrun the link it feeds is the bottleneck the datapath PR
-//! exists to remove.
+//! against the committed baseline (`bench_results/BENCH.json`: the arena
+//! rewrites and the datapath kernels) and fails on a >25 % regression of
+//! any tracked key. It also re-checks the speedup claims *within the
+//! current run* — fast path vs the retained reference measured on the same
+//! machine moments apart — so the ≥2× bounds never depend on cross-machine
+//! comparisons. Finally it holds the bulk aggregator to the modeled link
+//! bandwidth: the wire feeding a PCIe-3.0×16-class CXL link is ~15 GB/s,
+//! and a datapath that can't outrun the link it feeds is the bottleneck the
+//! fused kernels exist to remove.
 //!
 //! Usage:
-//!   perf_smoke               # gate current medians vs both baselines
-//!   perf_smoke --record      # (re)write BENCH_pr3.json from current medians
-//!   perf_smoke --record-pr6  # (re)write BENCH_pr6.json from current medians
+//!   perf_smoke           # gate current medians vs the baseline
+//!   perf_smoke --record  # (re)write BENCH.json from current medians
 
 use serde::Value;
 use teco_bench::sweeps::run_placement_workload;
@@ -28,10 +26,9 @@ use teco_dl::ModelSpec;
 use teco_sim::SimTime;
 
 const MEDIANS: &str = "bench_results/criterion_medians.json";
-const BASELINE: &str = "bench_results/BENCH_pr3.json";
-const BASELINE_PR6: &str = "bench_results/BENCH_pr6.json";
+const BASELINE: &str = "bench_results/BENCH.json";
 
-/// Keys gated against the committed PR-3 baseline (median_ns, lower is
+/// Keys gated against the committed baseline (median_ns, lower is
 /// better).
 const TRACKED: &[&str] = &[
     "coherence_event/dense_update",
@@ -39,10 +36,6 @@ const TRACKED: &[&str] = &[
     "giant_cache_merge/dense_bulk_dba",
     "step_throughput/push_fence_dba",
     "step_throughput/push_fence_full",
-];
-
-/// Keys gated against the committed PR-6 datapath baseline.
-const TRACKED_PR6: &[&str] = &[
     "aggregator_bulk/dirty_bytes_2",
     "disaggregator_bulk/merge_dirty2",
     "datapath/checksummed_kernel_2",
@@ -82,19 +75,18 @@ fn load(path: &str) -> Value {
     serde_json::from_str(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
 }
 
-fn record(current: &Value, path: &str, tracked: &[&str], extra_pairs: bool) {
-    let mut fields = Vec::new();
-    let mut keys: Vec<&str> = tracked.to_vec();
-    if extra_pairs {
-        for &(fast, slow, _) in SPEEDUPS {
-            for k in [fast, slow] {
-                if !keys.contains(&k) {
-                    keys.push(k);
-                }
+/// Rewrite the baseline with every tracked key and every speedup-pair key.
+fn record(current: &Value) {
+    let mut keys: Vec<&str> = TRACKED.to_vec();
+    for &(fast, slow, _) in SPEEDUPS {
+        for k in [fast, slow] {
+            if !keys.contains(&k) {
+                keys.push(k);
             }
         }
     }
-    for key in keys {
+    let mut fields = Vec::new();
+    for &key in &keys {
         let ns = median_ns(current, key)
             .unwrap_or_else(|| panic!("{MEDIANS} is missing {key} — run the benches first"));
         fields.push((
@@ -103,23 +95,22 @@ fn record(current: &Value, path: &str, tracked: &[&str], extra_pairs: bool) {
         ));
     }
     let doc = Value::Object(fields);
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize baseline"))
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("recorded {} keys to {path}", tracked.len());
+    std::fs::write(BASELINE, serde_json::to_string_pretty(&doc).expect("serialize baseline"))
+        .unwrap_or_else(|e| panic!("cannot write {BASELINE}: {e}"));
+    println!("recorded {} keys to {BASELINE}", keys.len());
 }
 
-/// Gate `tracked` keys of the current run against a committed baseline.
-fn gate_regressions(
-    current: &Value,
-    baseline: &Value,
-    baseline_path: &str,
-    tracked: &[&str],
-    failures: &mut Vec<String>,
-) {
-    for &key in tracked {
-        let now = median_ns(current, key);
-        let then = median_ns(baseline, key);
-        match (now, then) {
+fn main() {
+    let current = load(MEDIANS);
+    if std::env::args().any(|a| a == "--record") {
+        record(&current);
+        return;
+    }
+
+    let mut failures = Vec::new();
+    let baseline = load(BASELINE);
+    for &key in TRACKED {
+        match (median_ns(&current, key), median_ns(&baseline, key)) {
             (Some(now), Some(then)) => {
                 let ratio = now / then;
                 let verdict = if ratio > MAX_REGRESSION { "REGRESSED" } else { "ok" };
@@ -129,25 +120,9 @@ fn gate_regressions(
                 }
             }
             (None, _) => failures.push(format!("{key} missing from {MEDIANS}")),
-            (_, None) => failures.push(format!("{key} missing from {baseline_path}")),
+            (_, None) => failures.push(format!("{key} missing from {BASELINE}")),
         }
     }
-}
-
-fn main() {
-    let current = load(MEDIANS);
-    if std::env::args().any(|a| a == "--record") {
-        record(&current, BASELINE, TRACKED, true);
-        return;
-    }
-    if std::env::args().any(|a| a == "--record-pr6") {
-        record(&current, BASELINE_PR6, TRACKED_PR6, false);
-        return;
-    }
-
-    let mut failures = Vec::new();
-    gate_regressions(&current, &load(BASELINE), BASELINE, TRACKED, &mut failures);
-    gate_regressions(&current, &load(BASELINE_PR6), BASELINE_PR6, TRACKED_PR6, &mut failures);
 
     for &(fast, slow, min_ratio) in SPEEDUPS {
         match (median_ns(&current, fast), median_ns(&current, slow)) {

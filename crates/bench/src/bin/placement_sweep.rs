@@ -12,52 +12,21 @@
 //! carries the BO-autotuned giant-cache size next to the published
 //! Table III setting.
 //!
-//! The row computation lives in [`teco_bench::sweeps`]. Everything is
+//! The row computation lives in [`teco_bench::sweeps`]; stdout is the
+//! REPORT.md placement section rendered from the same rows. Everything is
 //! seeded: running this binary twice produces byte-identical
-//! `bench_results/placement_sweep.json` (the CI placement-smoke job
-//! diffs exactly that), and the acceptance gate aborts the process on
-//! any divergence.
+//! `bench_results/placement_sweep.json` (the CI sweep-smoke job diffs
+//! exactly that), and the binary exits nonzero if its gate fails.
 
+use teco_bench::dump_json;
+use teco_bench::report::placement_section;
 use teco_bench::sweeps::{placement_divergences, placement_rows};
-use teco_bench::{dump_json, header, row};
 
 fn main() {
-    header("Placement sweep", "Table III models × {single-tier, tiered} policies");
-    row(&[
-        "model".into(),
-        "policy".into(),
-        "tuned MB".into(),
-        "Table III MB".into(),
-        "device B".into(),
-        "cache B".into(),
-        "host B".into(),
-        "migrations".into(),
-        "snapshot".into(),
-    ]);
-    let out = placement_rows();
-    for r in &out {
-        row(&[
-            r.model.clone(),
-            r.policy.clone(),
-            r.autotuned_mb.to_string(),
-            r.table3_mb.to_string(),
-            r.device_bytes.to_string(),
-            r.giant_cache_bytes.to_string(),
-            r.host_dram_bytes.to_string(),
-            r.migrations.to_string(),
-            r.snapshot_digest.clone(),
-        ]);
-    }
-    let bad = placement_divergences(&out);
-    if bad.is_empty() {
-        println!("\ngate: explicit single-tier matched the legacy default byte-for-byte on");
-        println!("every model; every tiered cell re-placed tensors off the giant cache;");
-        println!("the autotuned giant cache tracked Table III on every row.");
-    } else {
-        for b in &bad {
-            eprintln!("DIVERGENCE: {b}");
-        }
+    let rows = placement_rows();
+    print!("{}", placement_section(&rows));
+    dump_json("placement_sweep", &rows);
+    if !placement_divergences(&rows).is_empty() {
         std::process::exit(1);
     }
-    dump_json("placement_sweep", &out);
 }

@@ -11,42 +11,20 @@
 //! (N × 15.088 GB/s) exceeds the 38.4 GB/s pool budget.
 //!
 //! The row computation lives in [`teco_bench::sweeps`], where the
-//! determinism test matrix pins serial against parallel execution.
+//! determinism test matrix pins serial against parallel execution; stdout
+//! is the REPORT.md scaling section rendered from the same rows.
 //! Everything is seeded: running this binary twice produces byte-identical
-//! `bench_results/scaling_sweep.json` (the CI scaling-smoke job diffs
+//! `bench_results/scaling_sweep.json` (the CI sweep-smoke job diffs
 //! exactly that). There is no paper baseline for these numbers — the paper
 //! evaluates one accelerator per coherence domain; this sweep is the
 //! model's prediction for the multi-device regime (see EXPERIMENTS.md).
 
+use teco_bench::dump_json;
+use teco_bench::report::scaling_section;
 use teco_bench::sweeps::scaling_rows;
-use teco_bench::{dump_json, f, header, pct, row};
 
 fn main() {
-    header("Scaling sweep", "N devices over a shared CXL pool × batch size");
-    row(&[
-        "devices".into(),
-        "batch".into(),
-        "cluster ms".into(),
-        "speedup".into(),
-        "efficiency".into(),
-        "host wait ms".into(),
-        "saved MB".into(),
-    ]);
-    let out = scaling_rows();
-    for r in &out {
-        row(&[
-            r.devices.to_string(),
-            r.batch.to_string(),
-            f(r.cluster_time_ns as f64 / 1e6),
-            f(r.speedup_vs_one),
-            pct(r.efficiency_pct),
-            f(r.host_wait_ns as f64 / 1e6),
-            f(r.fanout_saved_bytes as f64 / 1e6),
-        ]);
-    }
-    println!("\nspeedup is throughput (shards/time) versus the one-device run at the");
-    println!("same batch; efficiency loss is shared host-DRAM contention. Fan-out");
-    println!("savings are the pool reads the update-mode broadcast avoided (one host");
-    println!("read serves every device's giant cache).");
-    dump_json("scaling_sweep", &out);
+    let rows = scaling_rows();
+    print!("{}", scaling_section(&rows));
+    dump_json("scaling_sweep", &rows);
 }

@@ -7,7 +7,7 @@
 //! one whose final invariant walk must come back clean.
 //!
 //! Everything is seeded: running this binary twice produces byte-identical
-//! `bench_results/soak_resume.json` (the CI soak-resume job diffs exactly
+//! `bench_results/soak_resume.json` (the CI sweep-smoke job diffs exactly
 //! that), and the binary exits nonzero on any divergence.
 
 use serde::Serialize;

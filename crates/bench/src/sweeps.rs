@@ -1,8 +1,11 @@
-//! Sweep-row computation shared between the bench binaries and the test
-//! suite.
+//! Sweep-row computation shared between the bench binaries, the report,
+//! and the test suite.
 //!
-//! The fault and scaling sweeps used to live inline in their binaries;
-//! they are library functions so the determinism matrix
+//! Each sweep is a grid of independent cells and one row type: the sweep
+//! binary writes its rows to `bench_results/<bin>.json`, and
+//! [`crate::report`] renders the same rows as the binary's stdout and as
+//! its REPORT.md section. The fault, scaling, and collective sweeps also
+//! take an explicit worker count, so the determinism matrix
 //! (`tests/determinism.rs`) can run the *same* row computation under both
 //! serial and parallel [`teco_offload::sweep_with_workers`] execution and
 //! require byte-identical JSON. Every cell is computed independently —
@@ -20,10 +23,7 @@ use teco_cxl::{
 };
 use teco_dl::ModelSpec;
 use teco_mem::{Addr, LineData};
-use teco_offload::{
-    autotune_giant_cache, sweep_with_workers, ChaosPoint, ChurnPoint, CollectivePoint,
-    PlacementPoint, ScalingPoint,
-};
+use teco_offload::{autotune_giant_cache, sweep, sweep_with_workers};
 use teco_sim::{SimRng, SimTime};
 
 // ---------------------------------------------------------------------------
@@ -324,22 +324,6 @@ pub fn scaling_rows() -> Vec<ScalingRow> {
     scaling_rows_with_workers(teco_dl::num_cores())
 }
 
-/// Reduce scaling rows to the report renderer's plain points.
-pub fn scaling_points(rows: &[ScalingRow]) -> Vec<ScalingPoint> {
-    rows.iter()
-        .map(|r| ScalingPoint {
-            devices: r.devices,
-            batch: r.batch,
-            cluster_time_ns: r.cluster_time_ns,
-            speedup_vs_one: r.speedup_vs_one,
-            efficiency_pct: r.efficiency_pct,
-            host_wait_ns: r.host_wait_ns,
-            host_drained_ns: r.host_drained_ns,
-            fanout_saved_bytes: r.fanout_saved_bytes,
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Datapath sweep
 // ---------------------------------------------------------------------------
@@ -374,7 +358,7 @@ pub fn datapath_grid() -> Vec<DatapathCell> {
 }
 
 /// One row of `bench_results/datapath_sweep.json`: a session's end state
-/// after the fixed workload. Seeded throughout, so the CI datapath-smoke
+/// after the fixed workload. Seeded throughout, so the CI sweep-smoke
 /// job can diff two runs byte for byte.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatapathRow {
@@ -470,15 +454,9 @@ pub fn datapath_row(cell: &DatapathCell) -> DatapathRow {
     }
 }
 
-/// The full datapath sweep at an explicit worker count.
-pub fn datapath_rows_with_workers(workers: usize) -> Vec<DatapathRow> {
-    let grid = datapath_grid();
-    sweep_with_workers(&grid, workers, |_, cell| datapath_row(cell))
-}
-
 /// The full datapath sweep across all cores.
 pub fn datapath_rows() -> Vec<DatapathRow> {
-    datapath_rows_with_workers(teco_dl::num_cores())
+    sweep(&datapath_grid(), |_, cell| datapath_row(cell))
 }
 
 // ---------------------------------------------------------------------------
@@ -664,34 +642,9 @@ pub fn churn_row(cell: &ChurnCell) -> ChurnRow {
     }
 }
 
-/// The full churn sweep at an explicit worker count.
-pub fn churn_rows_with_workers(workers: usize) -> Vec<ChurnRow> {
-    let grid = churn_grid();
-    sweep_with_workers(&grid, workers, |_, cell| churn_row(cell))
-}
-
 /// The full churn sweep across all cores.
 pub fn churn_rows() -> Vec<ChurnRow> {
-    churn_rows_with_workers(teco_dl::num_cores())
-}
-
-/// Reduce churn rows to the report renderer's plain points.
-pub fn churn_points(rows: &[ChurnRow]) -> Vec<ChurnPoint> {
-    rows.iter()
-        .map(|r| ChurnPoint {
-            devices: r.devices,
-            kill_mode: r.kill_mode.clone(),
-            media_rate: r.media_rate,
-            down_events: r.down_events,
-            readmits: r.readmits,
-            redistributed_lines: r.redistributed_lines,
-            faults_injected: r.ras_faults_injected,
-            lines_retired: r.ras_lines_retired,
-            rebuilds: r.ras_rebuilds,
-            cluster_time_ns: r.cluster_time_ns,
-            converged: r.converged,
-        })
-        .collect()
+    sweep(&churn_grid(), |_, cell| churn_row(cell))
 }
 
 // ---------------------------------------------------------------------------
@@ -905,23 +858,6 @@ pub fn collective_sweep() -> CollectiveSweep {
     collective_sweep_with_workers(teco_dl::num_cores())
 }
 
-/// Reduce collective rows to the report renderer's plain points.
-pub fn collective_points(rows: &[CollectiveRow]) -> Vec<CollectivePoint> {
-    rows.iter()
-        .map(|r| CollectivePoint {
-            hosts: r.hosts,
-            grad_bytes: r.grad_bytes,
-            pool_ns: r.pool_ns,
-            ring_ns: r.ring_ns,
-            speedup: r.speedup,
-            pool_port_bytes: r.pool_port_bytes,
-            ring_link_bytes: r.ring_link_bytes,
-            fanin_saved_bytes: r.fanin_saved_bytes,
-            results_match: r.results_match,
-        })
-        .collect()
-}
-
 /// The sweep's acceptance gate: every comparison cell must beat the ring
 /// on completion time *and* moved bytes with bit-identical results, and
 /// every fabric row must keep host 0 byte-identical to the standalone
@@ -1000,7 +936,7 @@ pub enum ChaosKill {
 }
 
 impl ChaosKill {
-    /// The label carried in rows, points, and the report table.
+    /// The label carried in rows and the report table.
     pub fn label(self) -> &'static str {
         match self {
             ChaosKill::None => "none",
@@ -1156,35 +1092,9 @@ pub fn chaos_row(cell: &ChaosCell) -> ChaosRow {
     }
 }
 
-/// All chaos rows at an explicit worker count.
-pub fn chaos_rows_with_workers(workers: usize) -> Vec<ChaosRow> {
-    let grid = chaos_grid();
-    sweep_with_workers(&grid, workers, |_, cell| chaos_row(cell))
-}
-
 /// All chaos rows across all cores.
 pub fn chaos_rows() -> Vec<ChaosRow> {
-    chaos_rows_with_workers(teco_dl::num_cores())
-}
-
-/// Reduce chaos rows to the report renderer's plain points.
-pub fn chaos_points(rows: &[ChaosRow]) -> Vec<ChaosPoint> {
-    rows.iter()
-        .map(|r| ChaosPoint {
-            hosts: r.hosts as u64,
-            kill_phase: r.kill_phase.clone(),
-            media_rate: r.media_rate,
-            detections: r.detections,
-            regroups: r.regroups,
-            readmissions: r.readmissions,
-            chunk_retries: r.chunk_retries,
-            media_detections: r.media_detections,
-            ring_fallbacks: r.ring_fallbacks,
-            poisoned_admitted: r.poisoned_admitted,
-            fabric_time_ns: r.fabric_time_ns,
-            converged: r.converged,
-        })
-        .collect()
+    sweep(&chaos_grid(), |_, cell| chaos_row(cell))
 }
 
 /// The chaos sweep's acceptance gate: every cell byte-converged, zero
@@ -1297,7 +1207,7 @@ pub struct PlacementRow {
     /// Link bytes device→CPU (gradient direction).
     pub bytes_to_host: u64,
     /// FNV-1a 64 over the serialized session snapshot — the byte-identity
-    /// witness the CI placement-smoke job diffs run-to-run.
+    /// witness the CI sweep-smoke job diffs run-to-run.
     pub snapshot_digest: String,
 }
 
@@ -1376,35 +1286,9 @@ pub fn run_placement_workload(spec: &ModelSpec, cfg: TecoConfig) -> (TecoSession
     (s, now)
 }
 
-/// All placement rows at an explicit worker count.
-pub fn placement_rows_with_workers(workers: usize) -> Vec<PlacementRow> {
-    let grid = placement_grid();
-    sweep_with_workers(&grid, workers, |_, cell| placement_row(cell))
-}
-
 /// All placement rows across all cores.
 pub fn placement_rows() -> Vec<PlacementRow> {
-    placement_rows_with_workers(teco_dl::num_cores())
-}
-
-/// Reduce placement rows to the report renderer's plain points.
-pub fn placement_points(rows: &[PlacementRow]) -> Vec<PlacementPoint> {
-    rows.iter()
-        .map(|r| PlacementPoint {
-            model: r.model.clone(),
-            policy: r.policy.clone(),
-            autotuned_mb: r.autotuned_mb,
-            table3_mb: r.table3_mb,
-            device_bytes: r.device_bytes,
-            giant_cache_bytes: r.giant_cache_bytes,
-            host_dram_bytes: r.host_dram_bytes,
-            migrations: r.migrations,
-            migrated_bytes: r.migrated_bytes,
-            link_param_bytes: r.bytes_to_device,
-            link_grad_bytes: r.bytes_to_host,
-            snapshot_digest: r.snapshot_digest.clone(),
-        })
-        .collect()
+    sweep(&placement_grid(), |_, cell| placement_row(cell))
 }
 
 /// The placement sweep's acceptance gate:
@@ -1549,7 +1433,7 @@ mod tests {
         assert_eq!(grid.len(), 12);
         assert_eq!(grid[0], ChaosCell { hosts: 2, kill: ChaosKill::None, media_rate: 0.0 });
         // One kill cell end to end — the full grid runs in the
-        // fabric_chaos_sweep binary and the CI fabric-chaos-smoke job.
+        // fabric_chaos_sweep binary and the CI sweep-smoke job.
         let row =
             chaos_row(&ChaosCell { hosts: 2, kill: ChaosKill::ReduceScatter, media_rate: 1.0 });
         assert_eq!(row.detections, 1);
@@ -1567,7 +1451,7 @@ mod tests {
         assert_eq!(grid.len(), 10);
         assert_eq!(grid[0], PlacementCell { model: "GPT-2".into(), tiered: false });
         // One model's (single-tier, tiered) pair end to end — the full grid
-        // runs in the placement_sweep binary and the CI placement-smoke job.
+        // runs in the placement_sweep binary and the CI sweep-smoke job.
         let single = placement_row(&grid[0]);
         let tiered = placement_row(&grid[1]);
         assert_eq!(single.device_bytes, 0);

@@ -30,11 +30,7 @@ pub use cost::DatacenterModel;
 pub use doublebuffer::{double_buffer, DoubleBufferResult};
 pub use memory::{cpu_layout, gpu_layout, CpuLayout, GpuLayout};
 pub use multistep::{simulate_dpu_run, simulate_run, RunResult};
-pub use report::{
-    chaos_report_md, churn_report_md, collective_report_md, fault_report_md, md_table,
-    placement_report_md, scaling_report_md, timing_report, ChaosPoint, ChurnPoint, CollectivePoint,
-    PlacementPoint, ScalingPoint,
-};
+pub use report::{fault_report_md, md_table, timing_report};
 pub use schedule::{
     dba_payload_fraction, simulate_step, simulate_teco_dba, Breakdown, StepResult, System,
 };

@@ -1,7 +1,9 @@
-//! Markdown report generation: renders the full experiment suite into one
-//! document (the mechanical core behind EXPERIMENTS.md). Each section
-//! carries the paper's reference values next to the measured ones so drift
-//! is visible at a glance.
+//! Markdown report generation: renders the timing-experiment suite into
+//! one document (the mechanical core behind EXPERIMENTS.md) and the link
+//! fault/recovery table. Each timing section carries the paper's reference
+//! values next to the measured ones so drift is visible at a glance. The
+//! extension-sweep sections of REPORT.md live in `teco_bench::report`,
+//! which renders them through [`md_table`].
 
 use crate::experiments;
 use crate::timing::Calibration;
@@ -158,427 +160,6 @@ pub fn fault_report_md(stats: &FaultStats, degraded: &[String]) -> String {
     out
 }
 
-/// One point of a multi-device scaling sweep, reduced to what the report
-/// renders. A plain data carrier so this crate needs no dependency on the
-/// cluster layer that produces it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingPoint {
-    /// Devices sharing the pool.
-    pub devices: u64,
-    /// Per-device batch size.
-    pub batch: u64,
-    /// End-to-end cluster time in nanoseconds.
-    pub cluster_time_ns: u64,
-    /// Throughput speedup versus the N=1 run at the same batch
-    /// (N devices process N shards per step).
-    pub speedup_vs_one: f64,
-    /// Parallel efficiency: `speedup_vs_one / devices × 100`.
-    pub efficiency_pct: f64,
-    /// Total time devices waited on the shared host budget.
-    pub host_wait_ns: u64,
-    /// When the shared host budget drained.
-    pub host_drained_ns: u64,
-    /// Bytes the update-mode broadcast fan-out saved versus per-device
-    /// host reads.
-    pub fanout_saved_bytes: u64,
-}
-
-/// Render the multi-device scaling section: one row per (devices, batch)
-/// point, fixed shape, so two sweeps diff cleanly line-by-line.
-pub fn scaling_report_md(points: &[ScalingPoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "## Multi-device scaling over a shared CXL pool\n");
-    if points.is_empty() {
-        let _ = writeln!(out, "No scaling points recorded.\n");
-        return out;
-    }
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.devices.to_string(),
-                p.batch.to_string(),
-                format!("{:.3}", p.cluster_time_ns as f64 / 1e6),
-                format!("{:.2}", p.speedup_vs_one),
-                format!("{:.1}%", p.efficiency_pct),
-                format!("{:.3}", p.host_wait_ns as f64 / 1e6),
-                format!("{:.3}", p.host_drained_ns as f64 / 1e6),
-                format!("{:.2}", p.fanout_saved_bytes as f64 / 1e6),
-            ]
-        })
-        .collect();
-    out += &md_table(
-        &[
-            "devices",
-            "batch",
-            "cluster ms",
-            "speedup",
-            "efficiency",
-            "host wait ms",
-            "host drain ms",
-            "fan-out saved MB",
-        ],
-        &rows,
-    );
-    let _ = writeln!(
-        out,
-        "\nSpeedup counts shards processed per unit time versus the one-device run;\n\
-         efficiency below 100% is host-budget contention (the shared DRAM pool\n\
-         serializes gradient reduction once aggregate link bandwidth exceeds it).\n\
-         Fan-out savings are the host reads the update-mode broadcast avoided."
-    );
-    out
-}
-
-/// One fault-domain churn point for the report's markdown table. A plain
-/// data carrier, like [`ScalingPoint`]: the cluster layer that runs the
-/// kills lives above this crate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChurnPoint {
-    /// Devices sharing the pool.
-    pub devices: u64,
-    /// Failure schedule: `"none"`, `"lose"` (kill, stay at N−1), or
-    /// `"readmit"` (kill, then hot-readmit from the pool).
-    pub kill_mode: String,
-    /// Persistent media faults injected per scrub tick.
-    pub media_rate: f64,
-    /// Watchdog detections.
-    pub down_events: u64,
-    /// Hot readmissions performed.
-    pub readmits: u64,
-    /// Gradient-line pushes rerouted through survivors.
-    pub redistributed_lines: u64,
-    /// Media faults injected (device + pool).
-    pub faults_injected: u64,
-    /// Lines retired to spares.
-    pub lines_retired: u64,
-    /// Quarantined lines rebuilt from the clean pooled copy.
-    pub rebuilds: u64,
-    /// End-to-end cluster time in nanoseconds.
-    pub cluster_time_ns: u64,
-    /// Did every surviving (or readmitted) replica and the pool converge
-    /// byte-for-byte to the never-failed clean run?
-    pub converged: bool,
-}
-
-/// Render the fault-domain churn section: one row per (devices,
-/// kill-mode, media-rate) cell, fixed shape for clean diffs.
-pub fn churn_report_md(points: &[ChurnPoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "## Fault domains: device loss and pool-media RAS under churn\n");
-    if points.is_empty() {
-        let _ = writeln!(out, "No churn points recorded.\n");
-        return out;
-    }
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.devices.to_string(),
-                p.kill_mode.clone(),
-                format!("{:.2}", p.media_rate),
-                p.down_events.to_string(),
-                p.readmits.to_string(),
-                p.redistributed_lines.to_string(),
-                p.faults_injected.to_string(),
-                p.lines_retired.to_string(),
-                p.rebuilds.to_string(),
-                format!("{:.3}", p.cluster_time_ns as f64 / 1e6),
-                if p.converged { "yes".into() } else { "NO".into() },
-            ]
-        })
-        .collect();
-    out += &md_table(
-        &[
-            "devices",
-            "kill",
-            "media rate",
-            "down",
-            "readmits",
-            "rerouted lines",
-            "faults",
-            "retired",
-            "rebuilds",
-            "cluster ms",
-            "converged",
-        ],
-        &rows,
-    );
-    let _ = writeln!(
-        out,
-        "\nEach cell kills a device mid-run (watchdog-detected at the gradient\n\
-         fence), reroutes its shard through the survivors, and optionally\n\
-         hot-readmits it from the pooled optimizer state, while persistent\n\
-         media faults are scrubbed, retired to spares, and rebuilt from the\n\
-         clean pooled copy. \"converged\" means the pooled optimizer and every\n\
-         live replica ended byte-identical to the never-failed, fault-free run."
-    );
-    out
-}
-
-/// One pool-vs-ring all-reduce comparison point for the report's
-/// markdown table. A plain data carrier, like [`ScalingPoint`]: the
-/// collective layer that produces it lives below this crate, the sweep
-/// that runs it above.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollectivePoint {
-    /// Hosts sharing the pool.
-    pub hosts: u64,
-    /// Gradient bytes contributed per host.
-    pub grad_bytes: u64,
-    /// Pool-staged all-reduce completion time in nanoseconds.
-    pub pool_ns: u64,
-    /// Ring all-reduce completion time in nanoseconds.
-    pub ring_ns: u64,
-    /// `ring_ns / pool_ns`.
-    pub speedup: f64,
-    /// Host↔pool port bytes the pool path moved ((2H−1)·G).
-    pub pool_port_bytes: u64,
-    /// Endpoint-port bytes the ring moved (4(H−1)·G).
-    pub ring_link_bytes: u64,
-    /// Pool-media bytes the gather fan-in avoided re-reading.
-    pub fanin_saved_bytes: u64,
-    /// Did both paths produce bit-identical reduced gradients?
-    pub results_match: bool,
-}
-
-/// Render the inter-host collective section: one row per (hosts,
-/// gradient-size) cell, fixed shape for clean diffs.
-pub fn collective_report_md(points: &[CollectivePoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "## Inter-host all-reduce: pool-staged vs point-to-point ring\n");
-    if points.is_empty() {
-        let _ = writeln!(out, "No collective points recorded.\n");
-        return out;
-    }
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.hosts.to_string(),
-                format!("{:.0}", p.grad_bytes as f64 / (1 << 20) as f64),
-                format!("{:.3}", p.pool_ns as f64 / 1e6),
-                format!("{:.3}", p.ring_ns as f64 / 1e6),
-                format!("{:.2}", p.speedup),
-                format!("{:.1}", p.pool_port_bytes as f64 / 1e6),
-                format!("{:.1}", p.ring_link_bytes as f64 / 1e6),
-                format!("{:.1}", p.fanin_saved_bytes as f64 / 1e6),
-                if p.results_match { "yes".into() } else { "NO".into() },
-            ]
-        })
-        .collect();
-    out += &md_table(
-        &[
-            "hosts",
-            "grad MB",
-            "pool ms",
-            "ring ms",
-            "speedup",
-            "pool port MB",
-            "ring link MB",
-            "fan-in saved MB",
-            "bits match",
-        ],
-        &rows,
-    );
-    let _ = writeln!(
-        out,
-        "\nThe pool path stages each host's gradient once and reads peers\n\
-         directly from the shared pool ((2H\u{2212}1)\u{b7}G port bytes, one staged\n\
-         write plus direct reads); the ring moves 4(H\u{2212}1)\u{b7}G endpoint-port\n\
-         bytes over 2(H\u{2212}1) bulk-synchronous hops. Both reduce with the same\n\
-         wrapping-add kernel, so \"bits match\" is exact equality of the\n\
-         reduced gradients. Fan-in savings are the pool-DRAM reads the\n\
-         switched multicast avoided during the gather phase."
-    );
-    out
-}
-
-/// One fabric-chaos point for the report's markdown table: an H-host
-/// fabric with a host kill and/or staging-media faults injected into
-/// its collectives. A plain data carrier, like [`ChurnPoint`]: the
-/// fabric layer that runs the chaos lives above this crate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosPoint {
-    /// Hosts in the fabric.
-    pub hosts: u64,
-    /// Kill schedule: `"none"`, `"reduce-scatter"`, or `"all-gather"`
-    /// (the collective phase the host dies in).
-    pub kill_phase: String,
-    /// Staging-media faults injected per RAS tick.
-    pub media_rate: f64,
-    /// Watchdog host-loss detections.
-    pub detections: u64,
-    /// Survivor regroups (H→H−1 re-shards, ladder rung 2).
-    pub regroups: u64,
-    /// Hot host readmissions performed.
-    pub readmissions: u64,
-    /// Per-chunk checksummed retries on transient port faults.
-    pub chunk_retries: u64,
-    /// Staging-media faults detected before any reader consumed them.
-    pub media_detections: u64,
-    /// Collectives rerouted over the ring fallback (ladder rung 3).
-    pub ring_fallbacks: u64,
-    /// Corrupted bytes that reached a reduction — must be zero.
-    pub poisoned_admitted: u64,
-    /// End-of-run fabric time in nanoseconds.
-    pub fabric_time_ns: u64,
-    /// Did the degraded run's reduced gradients and parameters stay
-    /// byte-identical to the matching never-failed fabric's?
-    pub converged: bool,
-}
-
-/// Render the fabric-chaos section: one row per (hosts, kill-phase,
-/// media-rate) cell, fixed shape for clean diffs.
-pub fn chaos_report_md(points: &[ChaosPoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "## Fabric chaos: host loss and media faults mid-all-reduce\n");
-    if points.is_empty() {
-        let _ = writeln!(out, "No chaos points recorded.\n");
-        return out;
-    }
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.hosts.to_string(),
-                p.kill_phase.clone(),
-                format!("{:.2}", p.media_rate),
-                p.detections.to_string(),
-                p.regroups.to_string(),
-                p.readmissions.to_string(),
-                p.chunk_retries.to_string(),
-                p.media_detections.to_string(),
-                p.ring_fallbacks.to_string(),
-                p.poisoned_admitted.to_string(),
-                format!("{:.3}", p.fabric_time_ns as f64 / 1e6),
-                if p.converged { "yes".into() } else { "NO".into() },
-            ]
-        })
-        .collect();
-    out += &md_table(
-        &[
-            "hosts",
-            "kill phase",
-            "media rate",
-            "detected",
-            "regroups",
-            "readmits",
-            "retries",
-            "media det",
-            "ring falls",
-            "poisoned",
-            "fabric ms",
-            "converged",
-        ],
-        &rows,
-    );
-    let _ = writeln!(
-        out,
-        "\nEach cell kills a host at a chunk boundary of one step's all-reduce\n\
-         and/or injects persistent staging-media faults. The collective\n\
-         deadline watchdog detects the loss, the fabric walks the degradation\n\
-         ladder (per-chunk checksummed retry \u{2192} survivor regroup \u{2192} ring\n\
-         fallback under retirement pressure), and the lost host hot-readmits\n\
-         from pooled state. \"converged\" means the regrouped reduces and the\n\
-         final parameters stayed byte-identical to the matching never-failed\n\
-         fabric; \"poisoned\" counts corrupt bytes admitted to a reduction and\n\
-         must be zero in every cell."
-    );
-    out
-}
-
-/// One tiered-placement sweep point for the report's markdown table:
-/// one model run under one placement policy. A plain data carrier, like
-/// [`ScalingPoint`]: the session layer that produces it lives above this
-/// crate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementPoint {
-    /// Model display name.
-    pub model: String,
-    /// Placement policy label: `"single-tier"` or `"tiered"`.
-    pub policy: String,
-    /// BO-autotuned giant-cache size in MB.
-    pub autotuned_mb: u64,
-    /// The published Table III giant-cache size in MB.
-    pub table3_mb: u64,
-    /// Bytes resident in the device tier at end of run.
-    pub device_bytes: u64,
-    /// Bytes resident in the giant cache at end of run.
-    pub giant_cache_bytes: u64,
-    /// Bytes resident in plain host DRAM at end of run.
-    pub host_dram_bytes: u64,
-    /// Tensor migrations executed at step boundaries.
-    pub migrations: u64,
-    /// Bytes moved by those migrations.
-    pub migrated_bytes: u64,
-    /// Parameter bytes that crossed the host link.
-    pub link_param_bytes: u64,
-    /// Gradient bytes that crossed the host link.
-    pub link_grad_bytes: u64,
-    /// FNV-1a digest of the final session snapshot.
-    pub snapshot_digest: String,
-}
-
-/// Render the tiered-placement section: one row per (model, policy)
-/// cell, fixed shape for clean diffs.
-pub fn placement_report_md(points: &[PlacementPoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "## Tiered tensor placement: device / giant cache / host DRAM\n");
-    if points.is_empty() {
-        let _ = writeln!(out, "No placement points recorded.\n");
-        return out;
-    }
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.model.clone(),
-                p.policy.clone(),
-                p.autotuned_mb.to_string(),
-                p.table3_mb.to_string(),
-                p.device_bytes.to_string(),
-                p.giant_cache_bytes.to_string(),
-                p.host_dram_bytes.to_string(),
-                p.migrations.to_string(),
-                p.migrated_bytes.to_string(),
-                p.link_param_bytes.to_string(),
-                p.link_grad_bytes.to_string(),
-                p.snapshot_digest.clone(),
-            ]
-        })
-        .collect();
-    out += &md_table(
-        &[
-            "model",
-            "policy",
-            "tuned MB",
-            "Table III MB",
-            "device B",
-            "cache B",
-            "host B",
-            "migrations",
-            "migrated B",
-            "param link B",
-            "grad link B",
-            "snapshot",
-        ],
-        &rows,
-    );
-    let _ = writeln!(
-        out,
-        "\nEach row trains one scaled-down model under one placement policy.\n\
-         Single-tier is the legacy layout (everything in the giant cache, no\n\
-         placement engine constructed); tiered splits tensors by class —\n\
-         small hot tensors pin device-resident, params and grads stage in\n\
-         the CXL giant cache, optimizer moments spill to plain host DRAM —\n\
-         and migrates across tiers only at step boundaries. \"tuned MB\" is\n\
-         the BO-sized giant cache next to the published Table III setting;\n\
-         the snapshot digest proves run-to-run byte reproducibility."
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,103 +223,5 @@ mod tests {
         assert!(dirty.contains("degraded regions (in order): params, grads"));
         let count = |r: &str| r.lines().filter(|l| l.starts_with('|')).count();
         assert_eq!(count(&clean), count(&dirty), "same table shape");
-    }
-
-    #[test]
-    fn scaling_report_renders_rows_and_empty_case() {
-        assert!(scaling_report_md(&[]).contains("No scaling points recorded"));
-        let p = ScalingPoint {
-            devices: 4,
-            batch: 8,
-            cluster_time_ns: 1_500_000,
-            speedup_vs_one: 3.2,
-            efficiency_pct: 80.0,
-            host_wait_ns: 250_000,
-            host_drained_ns: 1_400_000,
-            fanout_saved_bytes: 3_000_000,
-        };
-        let md = scaling_report_md(std::slice::from_ref(&p));
-        assert!(md.contains("| 4 | 8 | 1.500 | 3.20 | 80.0% | 0.250 | 1.400 | 3.00 |"), "{md}");
-        assert_eq!(md, scaling_report_md(&[p]), "deterministic");
-    }
-
-    #[test]
-    fn churn_report_renders_rows_and_empty_case() {
-        assert!(churn_report_md(&[]).contains("No churn points recorded"));
-        let p = ChurnPoint {
-            devices: 4,
-            kill_mode: "readmit".into(),
-            media_rate: 1.0,
-            down_events: 1,
-            readmits: 1,
-            redistributed_lines: 24,
-            faults_injected: 17,
-            lines_retired: 12,
-            rebuilds: 3,
-            cluster_time_ns: 2_400_000,
-            converged: true,
-        };
-        let md = churn_report_md(std::slice::from_ref(&p));
-        assert!(
-            md.contains("| 4 | readmit | 1.00 | 1 | 1 | 24 | 17 | 12 | 3 | 2.400 | yes |"),
-            "{md}"
-        );
-        let mut bad = p.clone();
-        bad.converged = false;
-        assert!(churn_report_md(&[bad]).contains("| NO |"));
-        assert_eq!(md, churn_report_md(&[p]), "deterministic");
-    }
-
-    #[test]
-    fn collective_report_renders_rows_and_empty_case() {
-        assert!(collective_report_md(&[]).contains("No collective points recorded"));
-        let p = CollectivePoint {
-            hosts: 4,
-            grad_bytes: 64 << 20,
-            pool_ns: 20_000_000,
-            ring_ns: 33_000_000,
-            speedup: 1.65,
-            pool_port_bytes: 7 * (64 << 20),
-            ring_link_bytes: 12 * (64 << 20),
-            fanin_saved_bytes: 2 * (64 << 20),
-            results_match: true,
-        };
-        let md = collective_report_md(std::slice::from_ref(&p));
-        assert!(
-            md.contains("| 4 | 64 | 20.000 | 33.000 | 1.65 | 469.8 | 805.3 | 134.2 | yes |"),
-            "{md}"
-        );
-        let mut bad = p.clone();
-        bad.results_match = false;
-        assert!(collective_report_md(&[bad]).contains("| NO |"));
-        assert_eq!(md, collective_report_md(&[p]), "deterministic");
-    }
-
-    #[test]
-    fn placement_report_renders_rows_and_empty_case() {
-        assert!(placement_report_md(&[]).contains("No placement points recorded"));
-        let p = PlacementPoint {
-            model: "GPT-2".into(),
-            policy: "tiered".into(),
-            autotuned_mb: 320,
-            table3_mb: 324,
-            device_bytes: 4096,
-            giant_cache_bytes: 131_072,
-            host_dram_bytes: 65_536,
-            migrations: 2,
-            migrated_bytes: 8192,
-            link_param_bytes: 262_144,
-            link_grad_bytes: 131_072,
-            snapshot_digest: "deadbeefcafef00d".into(),
-        };
-        let md = placement_report_md(std::slice::from_ref(&p));
-        assert!(
-            md.contains(
-                "| GPT-2 | tiered | 320 | 324 | 4096 | 131072 | 65536 | 2 | 8192 | 262144 \
-                 | 131072 | deadbeefcafef00d |"
-            ),
-            "{md}"
-        );
-        assert_eq!(md, placement_report_md(&[p]), "deterministic");
     }
 }

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use teco_cxl::FaultStats;
-use teco_offload::{fault_report_md, scaling_report_md, timing_report, Calibration, ScalingPoint};
+use teco_offload::{fault_report_md, timing_report, Calibration};
 use teco_testsupport::golden::assert_golden;
 
 fn fixture(name: &str) -> PathBuf {
@@ -45,36 +45,4 @@ fn fault_report_dirty_matches_fixture() {
     };
     let degraded = vec!["params".to_string(), "activations".to_string()];
     assert_golden(fixture("fault_report_dirty.md"), &fault_report_md(&stats, &degraded));
-}
-
-#[test]
-fn scaling_report_matches_fixture() {
-    let points = vec![
-        ScalingPoint {
-            devices: 1,
-            batch: 8,
-            cluster_time_ns: 4_800_000,
-            speedup_vs_one: 1.0,
-            efficiency_pct: 100.0,
-            host_wait_ns: 0,
-            host_drained_ns: 1_400_000,
-            fanout_saved_bytes: 0,
-        },
-        ScalingPoint {
-            devices: 4,
-            batch: 8,
-            cluster_time_ns: 6_000_000,
-            speedup_vs_one: 3.2,
-            efficiency_pct: 80.0,
-            host_wait_ns: 250_000,
-            host_drained_ns: 5_600_000,
-            fanout_saved_bytes: 3_000_000,
-        },
-    ];
-    assert_golden(fixture("scaling_report.md"), &scaling_report_md(&points));
-}
-
-#[test]
-fn scaling_report_empty_matches_fixture() {
-    assert_golden(fixture("scaling_report_empty.md"), &scaling_report_md(&[]));
 }
