@@ -202,7 +202,7 @@ fn main() {
         let mut w = FabricChaosWorkload::small(4, 2, 42);
         w.fabric.base.steps = 4;
         w.fabric.collective.chunk_bytes = 64;
-        let golden = run_fabric_chaos(&w).expect("golden chaos run completes").outcome;
+        let golden = run_fabric_chaos(&w).expect("golden chaos run completes");
         let chaos = run_fabric_chaos(
             &w.clone()
                 .with_kill(HostKillSpec {
@@ -213,8 +213,7 @@ fn main() {
                 })
                 .with_readmit_after(1),
         )
-        .expect("chaos run completes")
-        .outcome;
+        .expect("chaos run completes");
         let detect_verdict = if chaos.detections.len() == 1 { "ok" } else { "MISSED" };
         let param_verdict =
             if chaos.param_checksum == golden.param_checksum { "ok" } else { "DIVERGED" };

@@ -13,7 +13,8 @@
 use serde::Serialize;
 use teco_bench::{dump_json, header, row};
 use teco_core::{
-    run_resumed, run_uninterrupted, KillPoint, ResumeWorkload, RunOutcome, StepBoundary,
+    run_resumed, run_uninterrupted, KillPoint, ResumeReport, ResumeWorkload, RunOutcome,
+    StepBoundary,
 };
 use teco_cxl::FaultConfig;
 
@@ -67,18 +68,14 @@ fn audited_workload(seed: u64) -> ResumeWorkload {
 fn soak(
     name: &str,
     w: &ResumeWorkload,
-    baseline: &RunOutcome,
+    baseline: &RunOutcome<ResumeReport>,
     out: &mut Vec<SoakRow>,
     failures: &mut u64,
 ) {
     let base_json = serde_json::to_string(&baseline.report).expect("serialize baseline report");
     // Kill at every boundary of the first, a middle, and the last step.
     for step in [0, w.steps / 2, w.steps - 1] {
-        for boundary in [
-            StepBoundary::AfterGradFence,
-            StepBoundary::AfterActivation,
-            StepBoundary::AfterParamFence,
-        ] {
+        for boundary in StepBoundary::ALL {
             let kill = KillPoint { step, boundary };
             let resumed = run_resumed(w, kill).expect("resumed run completes");
             let resumed_json =

@@ -14,9 +14,9 @@
 
 use serde::{Deserialize, Serialize};
 use teco_core::{
-    run_churn, run_cluster_uninterrupted, run_fabric_chaos, run_fabric_uninterrupted,
-    ChurnWorkload, ClusterConfig, ClusterReport, ClusterWorkload, FabricChaosWorkload,
-    FabricWorkload, HostKillSpec, PlacementPolicy, TecoConfig, TecoSession, TieredPolicy,
+    run_churn, run_fabric_chaos, run_uninterrupted, ChurnWorkload, ClusterConfig, ClusterReport,
+    ClusterWorkload, FabricChaosWorkload, FabricWorkload, HostKillSpec, PlacementPolicy,
+    TecoConfig, TecoSession, TieredPolicy,
 };
 use teco_cxl::{
     ring_all_reduce, CollectiveConfig, CollectivePhase, FaultConfig, PoolCollective, RasConfig,
@@ -24,7 +24,7 @@ use teco_cxl::{
 use teco_dl::ModelSpec;
 use teco_mem::{Addr, LineData};
 use teco_offload::{autotune_giant_cache, sweep, sweep_with_workers};
-use teco_sim::{SimRng, SimTime};
+use teco_sim::{SimRng, SimTime, FNV_SEED};
 
 // ---------------------------------------------------------------------------
 // Fault sweep
@@ -282,9 +282,7 @@ pub struct ScalingRow {
 }
 
 fn cluster_report(devices: usize, batch: u64) -> ClusterReport {
-    run_cluster_uninterrupted(&scaling_workload(devices, batch))
-        .expect("scaling workload completes")
-        .report
+    run_uninterrupted(&scaling_workload(devices, batch)).expect("scaling workload completes").report
 }
 
 /// Compute one scaling row, including its own one-device baseline.
@@ -387,13 +385,11 @@ pub struct DatapathRow {
     pub snapshot_digest: String,
 }
 
-/// FNV-1a 64 in hex over arbitrary bytes.
+/// FNV-1a 64 in hex over arbitrary bytes. Unlike [`teco_sim::fnv_fold`],
+/// this multiplies by the true FNV-64 prime; committed digests depend on
+/// each.
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = bytes.iter().fold(FNV_SEED, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
     format!("{h:016x}")
 }
 
@@ -778,9 +774,8 @@ pub fn collective_row(cell: &CollectiveCell) -> CollectiveRow {
 /// One fabric anchor row in `bench_results/collective_sweep.json`: an
 /// H-host training fabric over the shared pool, with the structural
 /// anchor asserted per row — host 0's cluster report is byte-identical
-/// to the standalone single-host path (`scaling_sweep`'s
-/// `run_cluster_uninterrupted`) at every H, and at H = 1 the whole
-/// fabric collapses to it.
+/// to the standalone single-host path (`scaling_sweep`'s cluster run) at
+/// every H, and at H = 1 the whole fabric collapses to it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FabricRow {
     /// Hosts in the fabric.
@@ -817,8 +812,8 @@ pub fn fabric_workload(hosts: usize) -> FabricWorkload {
 /// worker-independent).
 pub fn fabric_row(hosts: usize) -> FabricRow {
     let w = fabric_workload(hosts);
-    let fabric = run_fabric_uninterrupted(&w).expect("fabric run completes").report;
-    let cluster = run_cluster_uninterrupted(&w.base).expect("cluster run completes").report;
+    let fabric = run_uninterrupted(&w).expect("fabric run completes").report;
+    let cluster = run_uninterrupted(&w.base).expect("cluster run completes").report;
     let host0 = serde_json::to_string(&fabric.host_reports[0]).expect("serialize host 0");
     let standalone = serde_json::to_string(&cluster).expect("serialize cluster");
     FabricRow {
@@ -1057,10 +1052,9 @@ pub struct ChaosRow {
 /// `fabric_chaos` acceptance suite, not re-derived here).
 pub fn chaos_row(cell: &ChaosCell) -> ChaosRow {
     let golden_cell = ChaosCell { hosts: cell.hosts, kill: ChaosKill::None, media_rate: 0.0 };
-    let golden = run_fabric_chaos(&chaos_cell_workload(&golden_cell))
-        .expect("golden chaos run completes")
-        .outcome;
-    let out = run_fabric_chaos(&chaos_cell_workload(cell)).expect("chaos run completes").outcome;
+    let golden =
+        run_fabric_chaos(&chaos_cell_workload(&golden_cell)).expect("golden chaos run completes");
+    let out = run_fabric_chaos(&chaos_cell_workload(cell)).expect("chaos run completes");
     let k = CHAOS_KILL_STEP as usize;
     let grads_ok = match cell.kill {
         ChaosKill::None => out.step_grad_checksums == golden.step_grad_checksums,

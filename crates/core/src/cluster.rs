@@ -22,18 +22,23 @@
 //! through an unmodified [`TecoSession`], and its report through the same
 //! `device_report` function the single-device resume harness uses, so an
 //! N=1 cluster produces a device report **byte-identical** to the plain
-//! [`crate::resume`] path (enforced by `tests/cluster_equivalence.rs`).
+//! [`crate::resume`] path (enforced by the unit test
+//! `n1_device_report_matches_single_device_path`).
 //! The arbiter observes per-device wire volumes without feeding back into
 //! device clocks; host contention surfaces in the cluster-level clock
 //! ([`ClusterReport::cluster_time_ns`]) and the per-device wait accounts.
 //!
 //! The whole cluster snapshots and resumes through the same versioned
-//! envelope as a single session: [`run_cluster_resumed`] kills the run at
-//! any [`StepBoundary`], restores from nothing but the serialized bytes,
-//! and must reproduce [`run_cluster_uninterrupted`]'s report bit-for-bit.
+//! envelope as a single session: [`ClusterDriver`] is a
+//! [`crate::resume::Driver`], so [`crate::resume::run_resumed`] kills a
+//! [`ClusterWorkload`] at any [`StepBoundary`], restores from nothing but
+//! the serialized bytes, and must reproduce
+//! [`crate::resume::run_uninterrupted`]'s report bit-for-bit.
 
 use crate::config::TecoConfig;
-use crate::resume::{audit_status, device_report, KillPoint, ResumeReport, StepBoundary};
+use crate::resume::{
+    audit_status, device_report, Driver, KillPoint, ResumeReport, StepBoundary, Workload,
+};
 use crate::session::{SessionError, SessionSnapshot, TecoSession};
 use serde::{Deserialize, Serialize};
 use teco_cxl::{
@@ -41,7 +46,7 @@ use teco_cxl::{
     MediaRasSnapshot, RasStats,
 };
 use teco_mem::{Addr, LineData, LINE_BYTES};
-use teco_sim::{decode_snapshot, encode_snapshot, Bandwidth, SimRng, SimTime, SnapshotError};
+use teco_sim::{fnv_fold, Bandwidth, SimRng, SimTime, FNV_SEED};
 
 /// Configuration for an N-accelerator cluster.
 #[derive(Debug, Clone)]
@@ -195,16 +200,10 @@ impl CpuPool {
         }
     }
 
-    /// FNV-1a-64 over the master parameters then the gradient accumulator
-    /// — the pooled CPU end state, compressed to one word.
+    /// [`fnv_fold`] over the master parameters then the gradient
+    /// accumulator — the pooled CPU end state, compressed to one word.
     pub fn checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for line in self.params.iter().chain(self.grads.iter()) {
-            for &b in line.bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-            }
-        }
-        h
+        self.params.iter().chain(&self.grads).fold(FNV_SEED, |h, l| fnv_fold(h, l.bytes()))
     }
 
     fn snapshot(&self) -> CpuPoolSnapshot {
@@ -855,7 +854,7 @@ pub struct ClusterReport {
     pub reduced_lines: u64,
     /// Pooled optimizer updates.
     pub pool_updates: u64,
-    /// FNV-1a-64 over the pool's end state.
+    /// [`CpuPool::checksum`] of the pool's end state.
     pub pool_checksum: u64,
     /// Per-device reports, built by the same function as the
     /// single-device resume harness's.
@@ -927,8 +926,8 @@ pub struct ClusterWorkloadSnapshot {
 }
 
 /// Live driver state for a [`ClusterWorkload`] (what a kill destroys).
-/// Public so integration tests (steady-state allocation, equivalence) can
-/// drive steps directly.
+/// Public so the fabric drivers and the `stepbench` benchmark can drive
+/// one cluster per host, phase by phase.
 #[derive(Debug)]
 pub struct ClusterDriver {
     cluster: ClusterSession,
@@ -940,35 +939,11 @@ pub struct ClusterDriver {
 }
 
 impl ClusterDriver {
-    /// Build the cluster, map the replicated tensors, and seed the
-    /// per-device content streams.
-    pub fn new(w: &ClusterWorkload) -> Result<Self, SessionError> {
-        let mut cluster = ClusterSession::new(w.cfg.clone())?;
-        cluster.alloc_params(w.param_lines)?;
-        cluster.alloc_grads(w.grad_lines)?;
-        let rngs = (0..w.cfg.devices)
-            .map(|d| {
-                if d == 0 {
-                    // Identical to the single-device harness's stream.
-                    SimRng::seed_from_u64(w.seed)
-                } else {
-                    SimRng::seed_from_u64(w.seed).fork(&format!("cluster-dev-{d}"))
-                }
-            })
-            .collect();
-        Ok(ClusterDriver {
-            cluster,
-            rngs,
-            compute_ns_per_step: w.compute_ns_per_step,
-            param_buf: Vec::new(),
-        })
-    }
-
     /// A driver for host `host` of a multi-host fabric. Host 0 is seeded
-    /// exactly like [`ClusterDriver::new`] — its cluster must stay
-    /// byte-identical to a standalone run (the fabric's correctness
-    /// anchor) — while hosts 1.. fork every device stream by a
-    /// host-qualified label so replicas train on distinct shards.
+    /// exactly like [`Driver::new`] — its cluster must stay byte-identical
+    /// to a standalone run (the fabric's correctness anchor) — while hosts
+    /// 1.. fork every device stream by a host-qualified label so replicas
+    /// train on distinct shards.
     pub fn for_host(w: &ClusterWorkload, host: usize) -> Result<Self, SessionError> {
         if host == 0 {
             return Self::new(w);
@@ -983,30 +958,6 @@ impl ClusterDriver {
     /// The cluster under the driver.
     pub fn cluster(&self) -> &ClusterSession {
         &self.cluster
-    }
-
-    /// Completed steps.
-    pub fn step(&self) -> u64 {
-        self.cluster.step()
-    }
-
-    /// Capture the driver whole.
-    pub fn capture(&self) -> ClusterWorkloadSnapshot {
-        ClusterWorkloadSnapshot {
-            cluster: self.cluster.snapshot(),
-            rngs: self.rngs.iter().map(|r| r.state()).collect(),
-            compute_ns_per_step: self.compute_ns_per_step,
-        }
-    }
-
-    /// Rebuild a driver from a captured state.
-    pub fn restore(s: &ClusterWorkloadSnapshot) -> Result<Self, SessionError> {
-        Ok(ClusterDriver {
-            cluster: ClusterSession::from_snapshot(&s.cluster)?,
-            rngs: s.rngs.iter().map(|&st| SimRng::from_state(st)).collect(),
-            compute_ns_per_step: s.compute_ns_per_step,
-            param_buf: Vec::new(),
-        })
     }
 
     fn random_line(rng: &mut SimRng) -> LineData {
@@ -1034,48 +985,41 @@ impl ClusterDriver {
             .expect("param region was allocated at driver construction")
     }
 
-    /// Run the current step from its start up to (and including) `until`.
-    pub fn run_step_until(&mut self, until: StepBoundary) -> Result<(), SessionError> {
-        if self.compute_ns_per_step > 0 {
-            self.cluster.advance_compute(SimTime::from_ns(self.compute_ns_per_step));
-        }
-        // Per-device gradient shards flush + fence, then the shards
-        // arbitrate for the pool (inside loss.backward()).
-        let gl = self.grad_lines();
-        for d in 0..self.rngs.len() {
-            for i in 0..gl {
-                let line = Self::random_line(&mut self.rngs[d]);
-                self.cluster.push_grad_shard(d, i, line)?;
+    /// Run the phase of the current step that ends at `b`.
+    fn phase(&mut self, b: StepBoundary) -> Result<(), SessionError> {
+        match b {
+            // Per-device gradient shards flush + fence, then the shards
+            // arbitrate for the pool (inside loss.backward()).
+            StepBoundary::AfterGradFence => {
+                if self.compute_ns_per_step > 0 {
+                    self.cluster.advance_compute(SimTime::from_ns(self.compute_ns_per_step));
+                }
+                let gl = self.grad_lines();
+                for d in 0..self.rngs.len() {
+                    for i in 0..gl {
+                        let line = Self::random_line(&mut self.rngs[d]);
+                        self.cluster.push_grad_shard(d, i, line)?;
+                    }
+                }
+                self.cluster.fence_grads_all();
+            }
+            StepBoundary::AfterActivation => self.check_activation(),
+            // The pooled optimizer's update: fresh parameters from device
+            // 0's stream (the pool stream), broadcast to every giant cache.
+            StepBoundary::AfterParamFence => {
+                let mut lines = std::mem::take(&mut self.param_buf);
+                self.draw_param_lines(&mut lines);
+                let r = self.cluster.broadcast_params(&lines);
+                self.param_buf = lines;
+                r?;
             }
         }
-        self.cluster.fence_grads_all();
-        if until == StepBoundary::AfterGradFence {
-            return Ok(());
-        }
-        // Listing 1's one TECO line, on every device.
-        self.cluster.check_activation_all();
-        if until == StepBoundary::AfterActivation {
-            return Ok(());
-        }
-        self.broadcast_from_pool()?;
         Ok(())
     }
 
-    /// Finish the current step from `after` (exclusive) to its end.
-    pub fn finish_step_from(&mut self, after: StepBoundary) -> Result<(), SessionError> {
-        match after {
-            StepBoundary::AfterParamFence => Ok(()), // step completed pre-kill
-            StepBoundary::AfterGradFence => {
-                self.cluster.check_activation_all();
-                self.broadcast_from_pool()
-            }
-            StepBoundary::AfterActivation => self.broadcast_from_pool(),
-        }
-    }
-
-    /// Run one full step.
-    pub fn run_step(&mut self) -> Result<(), SessionError> {
-        self.run_step_until(StepBoundary::AfterParamFence)
+    /// Run the current step from its start up to (and including) `until`.
+    pub fn run_step_until(&mut self, until: StepBoundary) -> Result<(), SessionError> {
+        StepBoundary::span(None, Some(until)).try_for_each(|b| self.phase(b))
     }
 
     /// Draw this step's updated parameter lines from the driver's pool
@@ -1129,96 +1073,97 @@ impl ClusterDriver {
         self.cluster.broadcast_params(lines)
     }
 
-    /// The pooled optimizer's update: fresh parameters from device 0's
-    /// stream (the pool stream), broadcast to every giant cache.
-    fn broadcast_from_pool(&mut self) -> Result<(), SessionError> {
-        let mut lines = std::mem::take(&mut self.param_buf);
-        self.draw_param_lines(&mut lines);
-        let r = self.cluster.broadcast_params(&lines);
-        self.param_buf = lines;
-        r
-    }
-
     /// The cluster report at the current step.
     pub fn report(&self) -> ClusterReport {
         self.cluster.report()
     }
 }
 
-/// A cluster report plus the harness-side bookkeeping that must stay
-/// *out* of it (mirrors [`crate::resume::RunOutcome`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusterRunOutcome {
-    /// The byte-identity-comparable report.
-    pub report: ClusterReport,
-    /// Snapshots the harness took (0 for an uninterrupted run).
-    pub snapshots_taken: u64,
-    /// Restores the harness performed (0 for an uninterrupted run).
-    pub restores: u64,
-    /// Serialized snapshot size in bytes (0 for an uninterrupted run).
-    pub snapshot_bytes: u64,
-    /// The first failing device audit; `None` when auditing is off or
-    /// every device's walk passed.
-    pub last_audit_error: Option<String>,
+impl Driver for ClusterDriver {
+    type Workload = ClusterWorkload;
+    type Point = KillPoint;
+    type Snapshot = ClusterWorkloadSnapshot;
+    type Report = ClusterReport;
+    type Error = SessionError;
+
+    /// Build the cluster, map the replicated tensors, and seed the
+    /// per-device content streams.
+    fn new(w: &ClusterWorkload) -> Result<Self, SessionError> {
+        let mut cluster = ClusterSession::new(w.cfg.clone())?;
+        cluster.alloc_params(w.param_lines)?;
+        cluster.alloc_grads(w.grad_lines)?;
+        let rngs = (0..w.cfg.devices)
+            .map(|d| {
+                if d == 0 {
+                    // Identical to the single-device harness's stream.
+                    SimRng::seed_from_u64(w.seed)
+                } else {
+                    SimRng::seed_from_u64(w.seed).fork(&format!("cluster-dev-{d}"))
+                }
+            })
+            .collect();
+        Ok(ClusterDriver {
+            cluster,
+            rngs,
+            compute_ns_per_step: w.compute_ns_per_step,
+            param_buf: Vec::new(),
+        })
+    }
+
+    fn step(&self) -> u64 {
+        self.cluster.step()
+    }
+
+    fn advance(
+        &mut self,
+        from: Option<KillPoint>,
+        to: Option<KillPoint>,
+    ) -> Result<(), SessionError> {
+        StepBoundary::span(from.map(|k| k.boundary), to.map(|k| k.boundary))
+            .try_for_each(|b| self.phase(b))
+    }
+
+    fn capture(&self) -> ClusterWorkloadSnapshot {
+        ClusterWorkloadSnapshot {
+            cluster: self.cluster.snapshot(),
+            rngs: self.rngs.iter().map(|r| r.state()).collect(),
+            compute_ns_per_step: self.compute_ns_per_step,
+        }
+    }
+
+    fn restore(s: &ClusterWorkloadSnapshot) -> Result<Self, SessionError> {
+        Ok(ClusterDriver {
+            cluster: ClusterSession::from_snapshot(&s.cluster)?,
+            rngs: s.rngs.iter().map(|&st| SimRng::from_state(st)).collect(),
+            compute_ns_per_step: s.compute_ns_per_step,
+            param_buf: Vec::new(),
+        })
+    }
+
+    fn report(&self) -> ClusterReport {
+        self.cluster.report()
+    }
+
+    fn audit_error(&self) -> Option<String> {
+        self.cluster.audit_status()
+    }
+
+    fn invalid(msg: String) -> SessionError {
+        SessionError::Config(msg)
+    }
 }
 
-/// Run the cluster workload start to finish with no interruption.
-pub fn run_cluster_uninterrupted(w: &ClusterWorkload) -> Result<ClusterRunOutcome, SessionError> {
-    let mut d = ClusterDriver::new(w)?;
-    for _ in 0..w.steps {
-        d.run_step()?;
+impl Workload for ClusterWorkload {
+    type Driver = ClusterDriver;
+    fn steps(&self) -> u64 {
+        self.steps
     }
-    let last_audit_error = d.cluster.audit_status();
-    Ok(ClusterRunOutcome {
-        report: d.report(),
-        snapshots_taken: 0,
-        restores: 0,
-        snapshot_bytes: 0,
-        last_audit_error,
-    })
-}
-
-/// Run the cluster workload, kill it at `kill`, restore the whole cluster
-/// from serialized bytes, and finish. The returned outcome's `report`
-/// must serialize byte-identical to [`run_cluster_uninterrupted`]'s.
-pub fn run_cluster_resumed(
-    w: &ClusterWorkload,
-    kill: KillPoint,
-) -> Result<ClusterRunOutcome, SessionError> {
-    assert!(kill.step < w.steps, "kill step {} out of range {}", kill.step, w.steps);
-    let mut d = ClusterDriver::new(w)?;
-    for _ in 0..kill.step {
-        d.run_step()?;
-    }
-    d.run_step_until(kill.boundary)?;
-
-    // The kill: serialize, destroy every piece of live state, restore from
-    // nothing but the bytes.
-    let bytes = encode_snapshot(&d.capture());
-    let snapshot_bytes = bytes.len() as u64;
-    drop(d);
-    let snap: ClusterWorkloadSnapshot =
-        decode_snapshot(&bytes).map_err(|e: SnapshotError| SessionError::Config(e.to_string()))?;
-    let mut d = ClusterDriver::restore(&snap)?;
-
-    d.finish_step_from(kill.boundary)?;
-    while d.step() < w.steps {
-        d.run_step()?;
-    }
-    let last_audit_error = d.cluster.audit_status();
-    Ok(ClusterRunOutcome {
-        report: d.report(),
-        snapshots_taken: 1,
-        restores: 1,
-        snapshot_bytes,
-        last_audit_error,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resume::run_uninterrupted;
+    use crate::resume::{run_resumed, run_uninterrupted};
 
     #[test]
     fn config_validates() {
@@ -1233,7 +1178,7 @@ mod tests {
     #[test]
     fn n1_device_report_matches_single_device_path() {
         let w = ClusterWorkload::small(1, 42);
-        let cluster = run_cluster_uninterrupted(&w).unwrap();
+        let cluster = run_uninterrupted(&w).unwrap();
         let single = run_uninterrupted(&w.to_single()).unwrap();
         assert_eq!(
             serde_json::to_string(&cluster.report.devices[0]).unwrap(),
@@ -1246,7 +1191,7 @@ mod tests {
         // Same broadcast on every device: device memories end identical
         // even though gradient shards differ per device.
         let w = ClusterWorkload::small(4, 9);
-        let out = run_cluster_uninterrupted(&w).unwrap();
+        let out = run_uninterrupted(&w).unwrap();
         let d0 = out.report.devices[0].device_checksum;
         for (i, dev) in out.report.devices.iter().enumerate() {
             assert_eq!(dev.device_checksum, d0, "device {i} memory diverged");
@@ -1269,8 +1214,8 @@ mod tests {
             device_size_threshold: 512,
             ..Default::default()
         }));
-        let a = run_cluster_uninterrupted(&w).expect("tiered cluster run completes");
-        let b = run_cluster_uninterrupted(&w).expect("second run completes");
+        let a = run_uninterrupted(&w).expect("tiered cluster run completes");
+        let b = run_uninterrupted(&w).expect("second run completes");
         assert_eq!(
             serde_json::to_string(&a.report).unwrap(),
             serde_json::to_string(&b.report).unwrap(),
@@ -1285,7 +1230,7 @@ mod tests {
         }
         // The non-default policy demonstrably changes behavior vs the
         // default single-tier layout.
-        let default_run = run_cluster_uninterrupted(&ClusterWorkload::small(2, 7)).unwrap();
+        let default_run = run_uninterrupted(&ClusterWorkload::small(2, 7)).unwrap();
         assert_ne!(
             serde_json::to_string(&a.report).unwrap(),
             serde_json::to_string(&default_run.report).unwrap(),
@@ -1308,8 +1253,8 @@ mod tests {
     fn fanout_accounting_scales_with_devices() {
         let w1 = ClusterWorkload::small(1, 7);
         let w4 = ClusterWorkload::small(4, 7);
-        let r1 = run_cluster_uninterrupted(&w1).unwrap().report;
-        let r4 = run_cluster_uninterrupted(&w4).unwrap().report;
+        let r1 = run_uninterrupted(&w1).unwrap().report;
+        let r4 = run_uninterrupted(&w4).unwrap().report;
         // Same broadcast bytes regardless of N; savings only at N > 1.
         assert_eq!(r1.host.broadcast_bytes, r4.host.broadcast_bytes);
         assert_eq!(r1.host.fanout_saved_bytes, 0);
@@ -1320,8 +1265,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let w = ClusterWorkload::small(4, 11);
-        let a = run_cluster_uninterrupted(&w).unwrap();
-        let b = run_cluster_uninterrupted(&w).unwrap();
+        let a = run_uninterrupted(&w).unwrap();
+        let b = run_uninterrupted(&w).unwrap();
         assert_eq!(
             serde_json::to_string(&a.report).unwrap(),
             serde_json::to_string(&b.report).unwrap(),
@@ -1334,8 +1279,8 @@ mod tests {
         // must queue; with one device they never do.
         let w1 = ClusterWorkload::small(1, 3);
         let w4 = ClusterWorkload::small(4, 3);
-        let r1 = run_cluster_uninterrupted(&w1).unwrap().report;
-        let r4 = run_cluster_uninterrupted(&w4).unwrap().report;
+        let r1 = run_uninterrupted(&w1).unwrap().report;
+        let r4 = run_uninterrupted(&w4).unwrap().report;
         assert_eq!(r1.host.total_wait_ns, 0, "one device never contends");
         assert!(r4.host.total_wait_ns > 0, "four devices must contend");
     }
@@ -1344,16 +1289,12 @@ mod tests {
     fn snapshot_resume_is_byte_identical_at_every_boundary() {
         for devices in [1usize, 2, 4] {
             let w = ClusterWorkload::small(devices, 23);
-            let base = run_cluster_uninterrupted(&w).unwrap();
+            let base = run_uninterrupted(&w).unwrap();
             let base_json = serde_json::to_string(&base.report).unwrap();
             for step in [0, w.steps / 2, w.steps - 1] {
-                for boundary in [
-                    StepBoundary::AfterGradFence,
-                    StepBoundary::AfterActivation,
-                    StepBoundary::AfterParamFence,
-                ] {
+                for boundary in StepBoundary::ALL {
                     let kill = KillPoint { step, boundary };
-                    let resumed = run_cluster_resumed(&w, kill).unwrap();
+                    let resumed = run_resumed(&w, kill).unwrap();
                     assert_eq!(resumed.snapshots_taken, 1);
                     assert!(resumed.snapshot_bytes > 0);
                     let json = serde_json::to_string(&resumed.report).unwrap();
@@ -1366,9 +1307,9 @@ mod tests {
     #[test]
     fn compute_time_shifts_device_clocks_not_physics() {
         let mut w = ClusterWorkload::small(2, 13);
-        let fast = run_cluster_uninterrupted(&w).unwrap().report;
+        let fast = run_uninterrupted(&w).unwrap().report;
         w.compute_ns_per_step = 10_000;
-        let slow = run_cluster_uninterrupted(&w).unwrap().report;
+        let slow = run_uninterrupted(&w).unwrap().report;
         assert!(slow.cluster_time_ns > fast.cluster_time_ns);
         assert_eq!(slow.devices[0].device_checksum, fast.devices[0].device_checksum);
         assert_eq!(slow.pool_checksum, fast.pool_checksum);

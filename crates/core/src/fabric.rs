@@ -12,8 +12,8 @@
 //! structurally:
 //!
 //! - an H=1 fabric never touches the collective datapath, so its single
-//!   host report is **byte-identical** to [`run_cluster_uninterrupted`]'s
-//!   (the `scaling_sweep` path);
+//!   host report is **byte-identical** to a standalone cluster run of the
+//!   same [`ClusterWorkload`] (the `scaling_sweep` path);
 //! - host 0 of *any* fabric is seeded exactly like a standalone cluster
 //!   ([`ClusterDriver::for_host`]), so its report stays byte-identical at
 //!   every H — the collective sits beside the hosts' physics, never
@@ -23,21 +23,19 @@
 //! Each step: per-host grad fence → inter-host all-reduce (the fabric's
 //! `AfterGradFence` boundary, collective state included in snapshots) →
 //! per-host activation check → one parameter update drawn from host 0's
-//! pool stream and broadcast to every host. The whole fabric kills and
-//! resumes at any [`StepBoundary`] through the same versioned snapshot
+//! pool stream and broadcast to every host. [`FabricDriver`] is a
+//! [`crate::resume::Driver`]: the whole fabric kills and resumes at any
+//! [`StepBoundary`] through the same harness and versioned snapshot
 //! envelope as a single cluster, byte-identically.
 
-use crate::cluster::{
-    run_cluster_uninterrupted, ClusterDriver, ClusterReport, ClusterWorkload,
-    ClusterWorkloadSnapshot,
-};
-use crate::resume::{KillPoint, StepBoundary};
+use crate::cluster::{ClusterDriver, ClusterReport, ClusterWorkload, ClusterWorkloadSnapshot};
+use crate::resume::{Driver, KillPoint, StepBoundary, Workload};
 use crate::session::SessionError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use teco_cxl::{CollectiveConfig, CollectiveError, PoolCollective, PoolCollectiveSnapshot};
 use teco_mem::LineData;
-use teco_sim::{decode_snapshot, encode_snapshot, SimTime, SnapshotError};
+use teco_sim::{fnv_fold, SimTime, FNV_SEED};
 
 /// Typed failure of the multi-host fabric, carrying host/step/time
 /// context. Wraps the per-host session errors and the collective
@@ -149,7 +147,7 @@ pub struct FabricDriver {
     exchange_time: SimTime,
     /// The latest globally reduced gradient accumulator.
     global_grads: Vec<u8>,
-    /// FNV-1a-64 folded over every step's reduced gradient bytes.
+    /// [`fnv_fold`] over every step's reduced gradient bytes.
     grad_checksum: u64,
     /// Per-host staging scratch (capacity reused across steps).
     staged: Vec<Vec<u8>>,
@@ -170,7 +168,7 @@ impl FabricDriver {
             lag: SimTime::ZERO,
             exchange_time: SimTime::ZERO,
             global_grads: Vec::new(),
-            grad_checksum: 0xcbf2_9ce4_8422_2325,
+            grad_checksum: FNV_SEED,
             staged: Vec::new(),
             ready_buf: Vec::new(),
             param_buf: Vec::new(),
@@ -184,10 +182,6 @@ impl FabricDriver {
     /// The pool collective engine.
     pub fn collective(&self) -> &PoolCollective {
         &self.collective
-    }
-    /// Completed steps (every host advances in lockstep).
-    pub fn step(&self) -> u64 {
-        self.hosts[0].step()
     }
     /// The latest globally reduced gradient bytes.
     pub fn global_grads(&self) -> &[u8] {
@@ -225,9 +219,7 @@ impl FabricDriver {
         let outcome = self.collective.all_reduce(&mut self.staged, &self.ready_buf)?;
         self.lag = outcome.completion.saturating_sub(self.max_cluster_time());
         self.exchange_time += outcome.completion - outcome.start;
-        for &b in &self.staged[0] {
-            self.grad_checksum = (self.grad_checksum ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
+        self.grad_checksum = fnv_fold(self.grad_checksum, &self.staged[0]);
         self.global_grads.clear();
         self.global_grads.extend_from_slice(&self.staged[0]);
         Ok(())
@@ -245,77 +237,27 @@ impl FabricDriver {
         Ok(())
     }
 
-    /// Run the current step from its start up to (and including) `until`.
-    /// The fabric's `AfterGradFence` boundary includes the inter-host
-    /// exchange.
-    pub fn run_step_until(&mut self, until: StepBoundary) -> Result<(), FabricError> {
-        for host in &mut self.hosts {
-            host.run_step_until(StepBoundary::AfterGradFence)?;
-        }
-        self.exchange()?;
-        if until == StepBoundary::AfterGradFence {
-            return Ok(());
-        }
-        for host in &mut self.hosts {
-            host.check_activation();
-        }
-        if until == StepBoundary::AfterActivation {
-            return Ok(());
-        }
-        self.broadcast()
-    }
-
-    /// Finish the current step from `after` (exclusive) to its end.
-    pub fn finish_step_from(&mut self, after: StepBoundary) -> Result<(), FabricError> {
-        match after {
-            StepBoundary::AfterParamFence => Ok(()), // step completed pre-kill
+    /// Run the phase of the current step that ends at `b`. The fabric's
+    /// `AfterGradFence` phase includes the inter-host exchange.
+    fn phase(&mut self, b: StepBoundary) -> Result<(), FabricError> {
+        match b {
             StepBoundary::AfterGradFence => {
                 for host in &mut self.hosts {
-                    host.check_activation();
+                    host.run_step_until(StepBoundary::AfterGradFence)?;
                 }
-                self.broadcast()
+                self.exchange()
             }
-            StepBoundary::AfterActivation => self.broadcast(),
+            StepBoundary::AfterActivation => {
+                self.hosts.iter_mut().for_each(ClusterDriver::check_activation);
+                Ok(())
+            }
+            StepBoundary::AfterParamFence => self.broadcast(),
         }
     }
 
     /// Run one full step.
     pub fn run_step(&mut self) -> Result<(), FabricError> {
-        self.run_step_until(StepBoundary::AfterParamFence)
-    }
-
-    /// Capture the fabric whole.
-    pub fn capture(&self) -> FabricSnapshot {
-        FabricSnapshot {
-            hosts: self.hosts.iter().map(|d| d.capture()).collect(),
-            collective: self.collective.snapshot(),
-            lag: self.lag,
-            exchange_time: self.exchange_time,
-            global_grads: self.global_grads.clone(),
-            grad_checksum: self.grad_checksum,
-        }
-    }
-
-    /// Rebuild a fabric from a captured state.
-    pub fn restore(s: &FabricSnapshot) -> Result<Self, FabricError> {
-        if s.hosts.is_empty() {
-            return Err(FabricError::Config("fabric snapshot has no hosts".into()));
-        }
-        Ok(FabricDriver {
-            hosts: s
-                .hosts
-                .iter()
-                .map(ClusterDriver::restore)
-                .collect::<Result<Vec<_>, SessionError>>()?,
-            collective: PoolCollective::restore(&s.collective)?,
-            lag: s.lag,
-            exchange_time: s.exchange_time,
-            global_grads: s.global_grads.clone(),
-            grad_checksum: s.grad_checksum,
-            staged: Vec::new(),
-            ready_buf: Vec::new(),
-            param_buf: Vec::new(),
-        })
+        self.advance(None, None)
     }
 
     /// The fabric report at the current step.
@@ -349,7 +291,7 @@ pub struct FabricSnapshot {
     pub exchange_time: SimTime,
     /// The latest globally reduced gradient.
     pub global_grads: Vec<u8>,
-    /// Running FNV-1a-64 over every step's reduced gradient.
+    /// Running [`fnv_fold`] over every step's reduced gradient.
     pub grad_checksum: u64,
 }
 
@@ -381,86 +323,95 @@ pub struct FabricReport {
     pub host_reports: Vec<ClusterReport>,
 }
 
-/// A fabric report plus harness-side bookkeeping kept out of it (mirrors
-/// [`crate::cluster::ClusterRunOutcome`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FabricRunOutcome {
-    /// The byte-identity-comparable report.
-    pub report: FabricReport,
-    /// Snapshots the harness took (0 for an uninterrupted run).
-    pub snapshots_taken: u64,
-    /// Restores the harness performed (0 for an uninterrupted run).
-    pub restores: u64,
-    /// Serialized snapshot size in bytes (0 for an uninterrupted run).
-    pub snapshot_bytes: u64,
+impl Driver for FabricDriver {
+    type Workload = FabricWorkload;
+    type Point = KillPoint;
+    type Snapshot = FabricSnapshot;
+    type Report = FabricReport;
+    type Error = FabricError;
+
+    fn new(w: &FabricWorkload) -> Result<Self, FabricError> {
+        FabricDriver::new(w)
+    }
+
+    /// Completed steps (every host advances in lockstep).
+    fn step(&self) -> u64 {
+        self.hosts[0].step()
+    }
+
+    fn advance(
+        &mut self,
+        from: Option<KillPoint>,
+        to: Option<KillPoint>,
+    ) -> Result<(), FabricError> {
+        StepBoundary::span(from.map(|k| k.boundary), to.map(|k| k.boundary))
+            .try_for_each(|b| self.phase(b))
+    }
+
+    fn capture(&self) -> FabricSnapshot {
+        FabricSnapshot {
+            hosts: self.hosts.iter().map(|d| d.capture()).collect(),
+            collective: self.collective.snapshot(),
+            lag: self.lag,
+            exchange_time: self.exchange_time,
+            global_grads: self.global_grads.clone(),
+            grad_checksum: self.grad_checksum,
+        }
+    }
+
+    fn restore(s: &FabricSnapshot) -> Result<Self, FabricError> {
+        if s.hosts.is_empty() {
+            return Err(FabricError::Config("fabric snapshot has no hosts".into()));
+        }
+        Ok(FabricDriver {
+            hosts: s
+                .hosts
+                .iter()
+                .map(ClusterDriver::restore)
+                .collect::<Result<Vec<_>, SessionError>>()?,
+            collective: PoolCollective::restore(&s.collective)?,
+            lag: s.lag,
+            exchange_time: s.exchange_time,
+            global_grads: s.global_grads.clone(),
+            grad_checksum: s.grad_checksum,
+            staged: Vec::new(),
+            ready_buf: Vec::new(),
+            param_buf: Vec::new(),
+        })
+    }
+
+    fn report(&self) -> FabricReport {
+        FabricDriver::report(self)
+    }
+
+    /// The first failing device audit, walking hosts in order.
+    fn audit_error(&self) -> Option<String> {
+        self.hosts.iter().find_map(|h| h.cluster().audit_status())
+    }
+
+    fn invalid(msg: String) -> FabricError {
+        FabricError::Config(msg)
+    }
 }
 
-/// Run the fabric workload start to finish with no interruption.
-pub fn run_fabric_uninterrupted(w: &FabricWorkload) -> Result<FabricRunOutcome, FabricError> {
-    let mut d = FabricDriver::new(w)?;
-    for _ in 0..w.base.steps {
-        d.run_step()?;
+impl Workload for FabricWorkload {
+    type Driver = FabricDriver;
+    fn steps(&self) -> u64 {
+        self.base.steps
     }
-    Ok(FabricRunOutcome { report: d.report(), snapshots_taken: 0, restores: 0, snapshot_bytes: 0 })
-}
-
-/// Run the fabric workload, kill it at `kill`, restore every host and the
-/// collective engine from serialized bytes, and finish. The returned
-/// outcome's `report` must serialize byte-identical to
-/// [`run_fabric_uninterrupted`]'s.
-pub fn run_fabric_resumed(
-    w: &FabricWorkload,
-    kill: KillPoint,
-) -> Result<FabricRunOutcome, FabricError> {
-    if kill.step >= w.base.steps {
-        return Err(FabricError::Config(format!(
-            "kill step {} out of range {}",
-            kill.step, w.base.steps
-        )));
-    }
-    let mut d = FabricDriver::new(w)?;
-    for _ in 0..kill.step {
-        d.run_step()?;
-    }
-    d.run_step_until(kill.boundary)?;
-
-    let bytes = encode_snapshot(&d.capture());
-    let snapshot_bytes = bytes.len() as u64;
-    drop(d);
-    let snap: FabricSnapshot =
-        decode_snapshot(&bytes).map_err(|e: SnapshotError| FabricError::Config(e.to_string()))?;
-    let mut d = FabricDriver::restore(&snap)?;
-
-    d.finish_step_from(kill.boundary)?;
-    while d.step() < w.base.steps {
-        d.run_step()?;
-    }
-    Ok(FabricRunOutcome { report: d.report(), snapshots_taken: 1, restores: 1, snapshot_bytes })
-}
-
-/// Serialized `host_reports[0]` of an H-host fabric equals the standalone
-/// cluster report of the same base workload — exposed as a helper so the
-/// bench sweep can assert the anchor inside every row.
-pub fn host0_matches_cluster_path(w: &FabricWorkload) -> Result<bool, FabricError> {
-    let fabric = run_fabric_uninterrupted(w)?;
-    let cluster = run_cluster_uninterrupted(&w.base)?;
-    let a = serde_json::to_string(&fabric.report.host_reports[0])
-        .map_err(|e| FabricError::Config(e.to_string()))?;
-    let b =
-        serde_json::to_string(&cluster.report).map_err(|e| FabricError::Config(e.to_string()))?;
-    Ok(a == b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume::run_uninterrupted;
     use teco_cxl::dba::scalar;
 
     #[test]
     fn h1_fabric_report_is_byte_identical_to_the_cluster_path() {
         let w = FabricWorkload::small(1, 2, 42);
-        let fabric = run_fabric_uninterrupted(&w).unwrap();
-        let cluster = run_cluster_uninterrupted(&w.base).unwrap();
+        let fabric = run_uninterrupted(&w).unwrap();
+        let cluster = run_uninterrupted(&w.base).unwrap();
         assert_eq!(
             serde_json::to_string(&fabric.report.host_reports[0]).unwrap(),
             serde_json::to_string(&cluster.report).unwrap()
@@ -477,8 +428,11 @@ mod tests {
     fn host0_stays_unperturbed_at_every_host_count() {
         for hosts in [2usize, 4] {
             let w = FabricWorkload::small(hosts, 2, 7);
-            assert!(
-                host0_matches_cluster_path(&w).unwrap(),
+            let fabric = run_uninterrupted(&w).unwrap().report;
+            let cluster = run_uninterrupted(&w.base).unwrap().report;
+            assert_eq!(
+                serde_json::to_string(&fabric.host_reports[0]).unwrap(),
+                serde_json::to_string(&cluster).unwrap(),
                 "host 0 of an H={hosts} fabric must match the standalone cluster"
             );
         }
@@ -487,7 +441,7 @@ mod tests {
     #[test]
     fn peer_hosts_train_distinct_shards_but_share_parameters() {
         let w = FabricWorkload::small(3, 2, 5);
-        let r = run_fabric_uninterrupted(&w).unwrap().report;
+        let r = run_uninterrupted(&w).unwrap().report;
         // Different gradient content per host → different pool checksums…
         assert_ne!(r.host_reports[0].pool_checksum, r.host_reports[1].pool_checksum);
         assert_ne!(r.host_reports[1].pool_checksum, r.host_reports[2].pool_checksum);
@@ -523,8 +477,6 @@ mod tests {
     #[test]
     fn fabric_runs_are_deterministic() {
         let w = FabricWorkload::small(2, 2, 9);
-        let a = run_fabric_uninterrupted(&w).unwrap();
-        let b = run_fabric_uninterrupted(&w).unwrap();
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(run_uninterrupted(&w).unwrap(), run_uninterrupted(&w).unwrap());
     }
 }

@@ -21,31 +21,24 @@
 //! - a zero-fault, no-kill chaos workload routes through the plain
 //!   [`FabricDriver`] loop, so its report is **byte-identical** to the
 //!   PR 8 fault-free path;
-//! - the chunk-granular path is suspendable at any chunk boundary
-//!   ([`run_fabric_chaos_resumed`]): the whole fabric — hosts, engine,
-//!   and the in-flight op — round-trips through the serialized snapshot
-//!   envelope and finishes bit-identically.
+//! - the chunk-granular path ([`ChaosDriver`]) is a
+//!   [`crate::resume::Driver`] whose kill points are chunk boundaries
+//!   ([`ChunkPoint`]): [`crate::resume::run_resumed`] round-trips the
+//!   whole fabric — hosts, engine, and the in-flight op — through the
+//!   serialized snapshot envelope, drops all live state, and finishes
+//!   bit-identically.
 
 use crate::cluster::{ClusterDriver, ClusterWorkloadSnapshot};
 use crate::fabric::{FabricDriver, FabricError, FabricReport, FabricWorkload};
-use crate::resume::StepBoundary;
+use crate::resume::{run_uninterrupted, Driver, StepBoundary, StepPoint, Workload};
 use crate::session::SessionError;
 use serde::{Deserialize, Serialize};
 use teco_cxl::{
     ChunkedCollective, ChunkedCollectiveSnapshot, ChunkedOp, CollectiveError,
     CollectiveFaultConfig, CollectiveFaultStats, CollectivePhase, HostKill, RasConfig, RasStats,
 };
-use teco_mem::{LineData, LINE_BYTES};
-use teco_sim::{decode_snapshot, encode_snapshot, SimTime, SnapshotError};
-
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv_fold(mut cs: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        cs = (cs ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-    }
-    cs
-}
+use teco_mem::{lines_as_bytes, LineData, LINE_BYTES};
+use teco_sim::{fnv_fold, SimTime, FNV_SEED};
 
 /// A scheduled host kill: the host stops responding at chunk boundary
 /// `chunk` of phase `phase` of step `step`'s all-reduce.
@@ -63,7 +56,7 @@ pub struct HostKillSpec {
 }
 
 /// A chunk boundary of one step's collective — where
-/// [`run_fabric_chaos_resumed`] suspends, serializes, and restores the
+/// [`crate::resume::run_resumed`] suspends, serializes, and restores the
 /// whole fabric mid-all-reduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChunkPoint {
@@ -73,6 +66,12 @@ pub struct ChunkPoint {
     pub phase: CollectivePhase,
     /// Flat chunk index within the phase.
     pub chunk: u64,
+}
+
+impl StepPoint for ChunkPoint {
+    fn step(&self) -> u64 {
+        self.step
+    }
 }
 
 /// A deterministic fabric chaos workload: fixed kill schedule, fixed
@@ -140,8 +139,8 @@ impl FabricChaosWorkload {
     }
 
     /// Does this workload need the chunk-granular fault path? A `false`
-    /// here routes through the plain [`FabricDriver`] loop, byte-identical
-    /// to the PR 8 fault-free path.
+    /// here routes [`run_fabric_chaos`] through the plain [`FabricDriver`]
+    /// loop, byte-identical to the fault-free fabric path.
     pub fn chunked(&self) -> bool {
         self.kill.is_some() || self.faults.engaged()
     }
@@ -191,10 +190,10 @@ pub struct FabricChaosOutcome {
     pub report: FabricReport,
     /// Watchdog detections, in order.
     pub detections: Vec<ChaosDetection>,
-    /// FNV-1a-64 of each step's globally reduced gradient.
+    /// [`fnv_fold`] of each step's globally reduced gradient.
     pub step_grad_checksums: Vec<u64>,
-    /// FNV-1a-64 folded over every broadcast parameter line, in step
-    /// order — the "final parameters" identity anchor.
+    /// [`fnv_fold`] over every broadcast parameter line, in step order —
+    /// the "final parameters" identity anchor.
     pub param_checksum: u64,
     /// Per-host, per-device giant-cache content checksums — the
     /// readmission convergence anchor.
@@ -216,20 +215,6 @@ pub struct FabricChaosOutcome {
     pub poisoned_admitted: u64,
 }
 
-/// A chaos outcome plus harness-side bookkeeping kept out of it
-/// (mirrors [`crate::fabric::FabricRunOutcome`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FabricChaosRun {
-    /// The byte-identity-comparable outcome.
-    pub outcome: FabricChaosOutcome,
-    /// Snapshots the harness took (0 for an uninterrupted run).
-    pub snapshots_taken: u64,
-    /// Restores the harness performed (0 for an uninterrupted run).
-    pub restores: u64,
-    /// Serialized snapshot size in bytes (0 for an uninterrupted run).
-    pub snapshot_bytes: u64,
-}
-
 /// A readmission scheduled by a detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct PendingReadmit {
@@ -237,23 +222,26 @@ struct PendingReadmit {
     step: u64,
 }
 
-/// Everything the chaos driver holds, captured whole — including the
-/// in-flight collective op when suspended mid-all-reduce.
+/// The chaos driver's plain state: serialized as is into its snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct ChaosSnapshot {
-    hosts: Vec<ClusterWorkloadSnapshot>,
+struct ChaosState {
+    /// The workload: kill plan, readmission delay, and the per-host
+    /// workload a readmitted host is rebuilt from.
+    w: FabricChaosWorkload,
     alive: Vec<bool>,
-    collective: ChunkedCollectiveSnapshot,
-    op: ChunkedOp,
+    /// This step's staged accumulators and ready times; a regroup
+    /// re-begins the all-reduce from them.
+    staged: Vec<Vec<u8>>,
+    ready: Vec<SimTime>,
+    /// The all-reduce in flight between the grad fences and the
+    /// broadcast of the current step.
+    op: Option<ChunkedOp>,
     lag: SimTime,
     exchange_time: SimTime,
     grad_checksum: u64,
     param_checksum: u64,
     step_sums: Vec<u64>,
     global_grads: Vec<u8>,
-    /// The retained broadcast lines, flattened to bytes (`LineData`
-    /// itself is not serializable).
-    last_params: Vec<u8>,
     detections: Vec<ChaosDetection>,
     regroups: u64,
     typed_errors: u64,
@@ -261,129 +249,37 @@ struct ChaosSnapshot {
     readmit: Option<PendingReadmit>,
 }
 
-fn flatten_lines(lines: &[LineData]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(lines.len() * LINE_BYTES);
-    for l in lines {
-        out.extend_from_slice(l.bytes());
-    }
-    out
-}
-
-fn unflatten_lines(bytes: &[u8]) -> Vec<LineData> {
-    bytes
-        .chunks_exact(LINE_BYTES)
-        .map(|c| {
-            let mut l = LineData::zeroed();
-            l.bytes_mut().copy_from_slice(c);
-            l
-        })
-        .collect()
-}
-
-/// Mid-collective suspension bookkeeping for the resume harness.
-struct ResumeHarness {
-    at: ChunkPoint,
-    fired: bool,
-    snapshots_taken: u64,
-    restores: u64,
-    snapshot_bytes: u64,
+/// Everything the chaos driver holds, captured whole — including the
+/// in-flight collective op when suspended mid-all-reduce.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ChaosSnapshot {
+    hosts: Vec<ClusterWorkloadSnapshot>,
+    collective: ChunkedCollectiveSnapshot,
+    /// The retained broadcast lines, flattened to bytes (`LineData`
+    /// itself is not serializable).
+    last_params: Vec<u8>,
+    state: ChaosState,
 }
 
 /// The chunk-granular fabric driver: [`FabricDriver`]'s step shape with
 /// the collective driven one chunk at a time through
 /// [`ChunkedCollective`], so kills, faults, and snapshots land at chunk
-/// boundaries.
-struct ChaosDriver {
+/// boundaries. Its step runs in three parts: begin (readmission, grad
+/// fences, staging), drive the all-reduce chunk by chunk, end (fold the
+/// result, activation checks, broadcast).
+#[derive(Debug)]
+pub struct ChaosDriver {
     hosts: Vec<ClusterDriver>,
-    alive: Vec<bool>,
     cc: ChunkedCollective,
-    lag: SimTime,
-    exchange_time: SimTime,
-    grad_checksum: u64,
-    param_checksum: u64,
-    step_sums: Vec<u64>,
-    global_grads: Vec<u8>,
     last_params: Vec<LineData>,
-    detections: Vec<ChaosDetection>,
-    regroups: u64,
-    typed_errors: u64,
-    steps_done: u64,
-    readmit: Option<PendingReadmit>,
+    st: ChaosState,
 }
 
 impl ChaosDriver {
-    fn new(w: &FabricChaosWorkload) -> Result<Self, FabricError> {
-        let hosts = (0..w.fabric.hosts)
-            .map(|h| ClusterDriver::for_host(&w.fabric.base, h))
-            .collect::<Result<Vec<_>, SessionError>>()?;
-        Ok(ChaosDriver {
-            alive: vec![true; hosts.len()],
-            hosts,
-            cc: ChunkedCollective::new(w.fabric.collective, w.faults)?,
-            lag: SimTime::ZERO,
-            exchange_time: SimTime::ZERO,
-            grad_checksum: FNV_SEED,
-            param_checksum: FNV_SEED,
-            step_sums: Vec::new(),
-            global_grads: Vec::new(),
-            last_params: Vec::new(),
-            detections: Vec::new(),
-            regroups: 0,
-            typed_errors: 0,
-            steps_done: 0,
-            readmit: None,
-        })
-    }
-
-    fn capture(&self, op: &ChunkedOp) -> ChaosSnapshot {
-        ChaosSnapshot {
-            hosts: self.hosts.iter().map(|d| d.capture()).collect(),
-            alive: self.alive.clone(),
-            collective: self.cc.snapshot(),
-            op: op.clone(),
-            lag: self.lag,
-            exchange_time: self.exchange_time,
-            grad_checksum: self.grad_checksum,
-            param_checksum: self.param_checksum,
-            step_sums: self.step_sums.clone(),
-            global_grads: self.global_grads.clone(),
-            last_params: flatten_lines(&self.last_params),
-            detections: self.detections.clone(),
-            regroups: self.regroups,
-            typed_errors: self.typed_errors,
-            steps_done: self.steps_done,
-            readmit: self.readmit,
-        }
-    }
-
-    fn restore(s: &ChaosSnapshot) -> Result<Self, FabricError> {
-        Ok(ChaosDriver {
-            hosts: s
-                .hosts
-                .iter()
-                .map(ClusterDriver::restore)
-                .collect::<Result<Vec<_>, SessionError>>()?,
-            alive: s.alive.clone(),
-            cc: ChunkedCollective::restore(&s.collective)?,
-            lag: s.lag,
-            exchange_time: s.exchange_time,
-            grad_checksum: s.grad_checksum,
-            param_checksum: s.param_checksum,
-            step_sums: s.step_sums.clone(),
-            global_grads: s.global_grads.clone(),
-            last_params: unflatten_lines(&s.last_params),
-            detections: s.detections.clone(),
-            regroups: s.regroups,
-            typed_errors: s.typed_errors,
-            steps_done: s.steps_done,
-            readmit: s.readmit,
-        })
-    }
-
     fn max_live_time(&self) -> SimTime {
         self.hosts
             .iter()
-            .zip(&self.alive)
+            .zip(&self.st.alive)
             .filter(|&(_, &a)| a)
             .map(|(d, _)| d.cluster().cluster_time())
             .fold(SimTime::ZERO, SimTime::max)
@@ -394,14 +290,14 @@ impl ChaosDriver {
     /// catch its replicas up from the pooled parameter state. From here
     /// on it pushes exactly the lines it would have pushed had it never
     /// died — byte-identical convergence.
-    fn maybe_readmit(&mut self, w: &FabricChaosWorkload) -> Result<(), FabricError> {
-        let Some(p) = self.readmit else { return Ok(()) };
-        if p.step != self.steps_done {
+    fn maybe_readmit(&mut self) -> Result<(), FabricError> {
+        let Some(p) = self.st.readmit else { return Ok(()) };
+        if p.step != self.st.steps_done {
             return Ok(());
         }
         let host = p.host as usize;
-        let mut fresh = ClusterDriver::for_host(&w.fabric.base, host)?;
-        fresh.fast_forward_steps(self.steps_done);
+        let mut fresh = ClusterDriver::for_host(&self.st.w.fabric.base, host)?;
+        fresh.fast_forward_steps(self.st.steps_done);
         if !self.last_params.is_empty() {
             fresh.broadcast_lines(&self.last_params)?;
         }
@@ -409,255 +305,275 @@ impl ChaosDriver {
         // see the same step index a never-failed host's would, so the
         // DBA schedule (and the stale bytes its dirty-byte merge leaves
         // behind) lines up byte-for-byte.
-        fresh.align_step(self.steps_done);
+        fresh.align_step(self.st.steps_done);
         self.hosts[host] = fresh;
-        self.alive[host] = true;
+        self.st.alive[host] = true;
         self.cc.readmit_host(host);
-        self.readmit = None;
+        self.st.readmit = None;
         Ok(())
     }
 
-    /// Stage the live hosts' accumulators and drive the all-reduce one
-    /// chunk at a time. A watchdog [`CollectiveError::HostDown`] is
-    /// absorbed here: quarantine, regroup over the survivors, re-begin.
-    /// The resume harness (if armed) suspends, serializes, and restores
-    /// the whole driver at its chunk boundary.
-    fn exchange(
-        &mut self,
-        w: &FabricChaosWorkload,
-        mut kill_now: Option<HostKill>,
-        mut harness: Option<&mut ResumeHarness>,
-    ) -> Result<(), FabricError> {
+    /// Begin a step: pending readmission, per-host grad fences, then
+    /// stage the live hosts' accumulators and begin the all-reduce.
+    fn begin_step(&mut self) -> Result<(), FabricError> {
+        self.maybe_readmit()?;
         let n = self.hosts.len();
-        let mut staged: Vec<Vec<u8>> = vec![Vec::new(); n];
-        let mut ready = vec![SimTime::ZERO; n];
+        self.st.staged = vec![Vec::new(); n];
+        self.st.ready = vec![SimTime::ZERO; n];
         for h in 0..n {
-            if self.alive[h] {
-                self.hosts[h].cluster().pool().copy_grad_bytes_into(&mut staged[h]);
-                ready[h] = self.hosts[h].cluster().cluster_time() + self.lag;
+            if self.st.alive[h] {
+                let host = &mut self.hosts[h];
+                host.run_step_until(StepBoundary::AfterGradFence)?;
+                host.cluster().pool().copy_grad_bytes_into(&mut self.st.staged[h]);
+                self.st.ready[h] = host.cluster().cluster_time() + self.st.lag;
             }
         }
-        let mut op = self.cc.begin_all_reduce(&staged, &ready)?;
-        loop {
-            if let Some(h) = harness.as_deref_mut() {
-                if !h.fired
-                    && !op.done
-                    && h.at.step == self.steps_done
-                    && h.at.phase == op.phase
-                    && h.at.chunk == op.flat
-                {
-                    h.fired = true;
-                    let bytes = encode_snapshot(&self.capture(&op));
-                    h.snapshots_taken += 1;
-                    h.snapshot_bytes = bytes.len() as u64;
-                    let snap: ChaosSnapshot = decode_snapshot(&bytes)
-                        .map_err(|e: SnapshotError| FabricError::Config(e.to_string()))?;
-                    h.restores += 1;
-                    op = snap.op.clone();
-                    *self = ChaosDriver::restore(&snap)?;
-                }
+        self.st.op = Some(self.cc.begin_all_reduce(&self.st.staged, &self.st.ready)?);
+        Ok(())
+    }
+
+    /// Drive the in-flight all-reduce one chunk at a time until it
+    /// completes (`false`) or sits at chunk boundary `to` (`true`). A
+    /// watchdog [`CollectiveError::HostDown`] is absorbed here:
+    /// quarantine, regroup over the survivors, re-begin.
+    fn drive(&mut self, to: Option<ChunkPoint>) -> Result<bool, FabricError> {
+        let mut op = self.st.op.take().ok_or_else(|| Self::invalid("no step in flight".into()))?;
+        let kill = self.st.w.kill.filter(|k| k.step == self.st.steps_done);
+        let kill = kill.map(|k| HostKill { host: k.host, phase: k.phase, chunk: k.chunk });
+        let at_point = loop {
+            if to.is_some_and(|at| !op.done && at.phase == op.phase && at.chunk == op.flat) {
+                break true;
             }
-            match self.cc.step_chunk(&mut op, kill_now.as_ref()) {
-                Ok(true) => break,
+            match self.cc.step_chunk(&mut op, kill.as_ref()) {
+                Ok(true) => break false,
                 Ok(false) => {}
                 Err(CollectiveError::HostDown { host, phase, chunk, time_ns }) => {
-                    self.detections.push(ChaosDetection {
-                        host,
-                        step: self.steps_done,
-                        phase,
-                        chunk,
-                        time_ns,
-                    });
-                    self.typed_errors += 1;
+                    let step = self.st.steps_done;
+                    self.st.detections.push(ChaosDetection { host, step, phase, chunk, time_ns });
+                    self.st.typed_errors += 1;
                     self.cc.quarantine_host(host as usize);
-                    self.alive[host as usize] = false;
-                    self.regroups += 1;
-                    if let Some(after) = w.readmit_after {
-                        self.readmit =
-                            Some(PendingReadmit { host, step: self.steps_done + 1 + after });
+                    self.st.alive[host as usize] = false;
+                    self.st.regroups += 1;
+                    if let Some(after) = self.st.w.readmit_after {
+                        self.st.readmit = Some(PendingReadmit { host, step: step + 1 + after });
                     }
-                    kill_now = None;
-                    op = self.cc.begin_all_reduce(&staged, &ready)?;
+                    op = self.cc.begin_all_reduce(&self.st.staged, &self.st.ready)?;
                 }
                 Err(e) => return Err(e.into()),
             }
-        }
-        let (result, outcome) = op.into_result()?;
-        self.lag = outcome.completion.saturating_sub(self.max_live_time());
-        self.exchange_time += outcome.completion - outcome.start;
-        self.grad_checksum = fnv_fold(self.grad_checksum, &result);
-        self.step_sums.push(fnv_fold(FNV_SEED, &result));
-        self.global_grads = result;
-        Ok(())
+        };
+        self.st.op = Some(op);
+        Ok(at_point)
     }
 
-    /// One fabric step with the chaos machinery in the loop: pending
-    /// readmission → per-host grad fences → chunked inter-host exchange
-    /// (kills land here) → activation checks → one shared parameter
-    /// update drawn from the lowest live host's pool stream.
-    fn run_chaos_step(
-        &mut self,
-        w: &FabricChaosWorkload,
-        harness: Option<&mut ResumeHarness>,
-    ) -> Result<(), FabricError> {
-        self.maybe_readmit(w)?;
-        let kill_now = w.kill.as_ref().and_then(|k| {
-            (k.step == self.steps_done).then_some(HostKill {
-                host: k.host,
-                phase: k.phase,
-                chunk: k.chunk,
-            })
-        });
+    /// End a step: fold the reduced gradient, run the activation checks,
+    /// and broadcast one shared parameter update drawn from the lowest
+    /// live host's pool stream.
+    fn end_step(&mut self) -> Result<(), FabricError> {
+        let op = self.st.op.take().ok_or_else(|| Self::invalid("no step in flight".into()))?;
+        let (result, outcome) = op.into_result()?;
+        self.st.lag = outcome.completion.saturating_sub(self.max_live_time());
+        self.st.exchange_time += outcome.completion - outcome.start;
+        self.st.grad_checksum = fnv_fold(self.st.grad_checksum, &result);
+        self.st.step_sums.push(fnv_fold(FNV_SEED, &result));
+        self.st.global_grads = result;
         for h in 0..self.hosts.len() {
-            if self.alive[h] {
-                self.hosts[h].run_step_until(StepBoundary::AfterGradFence)?;
-            }
-        }
-        self.exchange(w, kill_now, harness)?;
-        for h in 0..self.hosts.len() {
-            if self.alive[h] {
+            if self.st.alive[h] {
                 self.hosts[h].check_activation();
             }
         }
         let drawer =
-            self.alive.iter().position(|&a| a).ok_or_else(|| {
+            self.st.alive.iter().position(|&a| a).ok_or_else(|| {
                 FabricError::Config("no live hosts left to draw parameters".into())
             })?;
         let mut lines = std::mem::take(&mut self.last_params);
         self.hosts[drawer].draw_param_lines(&mut lines);
         for line in &lines {
-            self.param_checksum = fnv_fold(self.param_checksum, line.bytes());
+            self.st.param_checksum = fnv_fold(self.st.param_checksum, line.bytes());
         }
         for h in 0..self.hosts.len() {
-            if self.alive[h] {
+            if self.st.alive[h] {
                 self.hosts[h].broadcast_lines(&lines)?;
             }
         }
         self.last_params = lines;
-        self.steps_done += 1;
+        self.st.steps_done += 1;
         Ok(())
     }
+}
 
-    fn report(&self) -> FabricReport {
+impl Driver for ChaosDriver {
+    type Workload = FabricChaosWorkload;
+    type Point = ChunkPoint;
+    type Snapshot = ChaosSnapshot;
+    type Report = FabricChaosOutcome;
+    type Error = FabricError;
+
+    fn new(w: &FabricChaosWorkload) -> Result<Self, FabricError> {
+        w.validate()?;
+        let hosts = (0..w.fabric.hosts)
+            .map(|h| ClusterDriver::for_host(&w.fabric.base, h))
+            .collect::<Result<Vec<_>, SessionError>>()?;
+        Ok(ChaosDriver {
+            cc: ChunkedCollective::new(w.fabric.collective, w.faults)?,
+            last_params: Vec::new(),
+            st: ChaosState {
+                w: w.clone(),
+                alive: vec![true; hosts.len()],
+                staged: Vec::new(),
+                ready: Vec::new(),
+                op: None,
+                lag: SimTime::ZERO,
+                exchange_time: SimTime::ZERO,
+                grad_checksum: FNV_SEED,
+                param_checksum: FNV_SEED,
+                step_sums: Vec::new(),
+                global_grads: Vec::new(),
+                detections: Vec::new(),
+                regroups: 0,
+                typed_errors: 0,
+                steps_done: 0,
+                readmit: None,
+            },
+            hosts,
+        })
+    }
+
+    fn step(&self) -> u64 {
+        self.st.steps_done
+    }
+
+    fn advance(
+        &mut self,
+        from: Option<ChunkPoint>,
+        to: Option<ChunkPoint>,
+    ) -> Result<(), FabricError> {
+        if from.is_none() {
+            self.begin_step()?;
+        }
+        match (self.drive(to)?, to) {
+            (true, _) => Ok(()),
+            (false, None) => self.end_step(),
+            (false, Some(at)) => {
+                Err(Self::invalid(format!("{at:?} is past its phase's last chunk")))
+            }
+        }
+    }
+
+    fn capture(&self) -> ChaosSnapshot {
+        ChaosSnapshot {
+            hosts: self.hosts.iter().map(|d| d.capture()).collect(),
+            collective: self.cc.snapshot(),
+            last_params: lines_as_bytes(&self.last_params).to_vec(),
+            state: self.st.clone(),
+        }
+    }
+
+    fn restore(s: &ChaosSnapshot) -> Result<Self, FabricError> {
+        let revive = |c: &[u8]| LineData(c.try_into().expect("chunks_exact yields whole lines"));
+        Ok(ChaosDriver {
+            hosts: s
+                .hosts
+                .iter()
+                .map(ClusterDriver::restore)
+                .collect::<Result<Vec<_>, SessionError>>()?,
+            cc: ChunkedCollective::restore(&s.collective)?,
+            last_params: s.last_params.chunks_exact(LINE_BYTES).map(revive).collect(),
+            st: s.state.clone(),
+        })
+    }
+
+    fn report(&self) -> FabricChaosOutcome {
         let stats = self.cc.pool().stats();
-        FabricReport {
+        let report = FabricReport {
             hosts: self.hosts.len() as u64,
-            steps: self.steps_done,
-            fabric_time_ns: (self.max_live_time() + self.lag).as_ns(),
-            exchange_ns: self.exchange_time.as_ns(),
+            steps: self.st.steps_done,
+            fabric_time_ns: (self.max_live_time() + self.st.lag).as_ns(),
+            exchange_ns: self.st.exchange_time.as_ns(),
             all_reduces: stats.all_reduces,
             pool_port_bytes: stats.port_bytes,
             pool_media_bytes: stats.media_bytes,
             fanin_saved_bytes: self.cc.pool().media().fanin_saved_bytes(),
-            global_grad_checksum: self.grad_checksum,
+            global_grad_checksum: self.st.grad_checksum,
             host_reports: self.hosts.iter().map(|d| d.report()).collect(),
-        }
-    }
-
-    fn into_outcome(self) -> FabricChaosOutcome {
-        let report = self.report();
+        };
         let fstats = self.cc.fault_stats();
         FabricChaosOutcome {
-            device_checksums: report
-                .host_reports
-                .iter()
-                .map(|hr| hr.devices.iter().map(|d| d.device_checksum).collect())
-                .collect(),
-            live_hosts: self.alive.iter().filter(|&&a| a).count() as u64,
-            regroups: self.regroups,
+            device_checksums: device_checksums(&report),
+            live_hosts: self.st.alive.iter().filter(|&&a| a).count() as u64,
+            regroups: self.st.regroups,
             readmissions: fstats.readmissions,
-            typed_errors: self.typed_errors,
+            typed_errors: self.st.typed_errors,
             ras: self.cc.ras_stats(),
             poisoned_admitted: fstats.poisoned_admitted,
             fstats,
-            detections: self.detections,
-            step_grad_checksums: self.step_sums,
-            param_checksum: self.param_checksum,
+            detections: self.st.detections.clone(),
+            step_grad_checksums: self.st.step_sums.clone(),
+            param_checksum: self.st.param_checksum,
             report,
         }
+    }
+
+    /// The first failing device audit, walking hosts in order.
+    fn audit_error(&self) -> Option<String> {
+        self.hosts.iter().find_map(|h| h.cluster().audit_status())
+    }
+
+    fn invalid(msg: String) -> FabricError {
+        FabricError::Config(msg)
     }
 }
 
-fn run_chaos_inner(
-    w: &FabricChaosWorkload,
-    suspend: Option<ChunkPoint>,
-    force_chunked: bool,
-) -> Result<FabricChaosRun, FabricError> {
-    w.validate()?;
-    if !force_chunked && !w.chunked() {
-        // The PR 8 anchor: with nothing armed, the chaos harness IS the
-        // plain fabric loop — same driver, same report bytes.
-        let mut d = FabricDriver::new(&w.fabric)?;
-        let mut step_sums = Vec::new();
-        let mut param_checksum = FNV_SEED;
-        for _ in 0..w.fabric.base.steps {
-            d.run_step()?;
-            step_sums.push(fnv_fold(FNV_SEED, d.global_grads()));
-            for line in d.last_params() {
-                param_checksum = fnv_fold(param_checksum, line.bytes());
-            }
-        }
-        let report = d.report();
-        let outcome = FabricChaosOutcome {
-            device_checksums: report
-                .host_reports
-                .iter()
-                .map(|hr| hr.devices.iter().map(|dv| dv.device_checksum).collect())
-                .collect(),
-            live_hosts: report.hosts,
-            regroups: 0,
-            readmissions: 0,
-            typed_errors: 0,
-            fstats: CollectiveFaultStats::default(),
-            ras: RasStats::default(),
-            poisoned_admitted: 0,
-            detections: Vec::new(),
-            step_grad_checksums: step_sums,
-            param_checksum,
-            report,
-        };
-        return Ok(FabricChaosRun { outcome, snapshots_taken: 0, restores: 0, snapshot_bytes: 0 });
+impl Workload for FabricChaosWorkload {
+    type Driver = ChaosDriver;
+    fn steps(&self) -> u64 {
+        self.fabric.base.steps
     }
+}
 
-    let mut drv = ChaosDriver::new(w)?;
-    let mut harness = suspend.map(|at| ResumeHarness {
-        at,
-        fired: false,
-        snapshots_taken: 0,
-        restores: 0,
-        snapshot_bytes: 0,
-    });
-    for _ in 0..w.fabric.base.steps {
-        drv.run_chaos_step(w, harness.as_mut())?;
-    }
-    let (snapshots_taken, restores, snapshot_bytes) =
-        harness.map(|h| (h.snapshots_taken, h.restores, h.snapshot_bytes)).unwrap_or((0, 0, 0));
-    Ok(FabricChaosRun { outcome: drv.into_outcome(), snapshots_taken, restores, snapshot_bytes })
+/// Per-host, per-device giant-cache checksums of a fabric report.
+fn device_checksums(report: &FabricReport) -> Vec<Vec<u64>> {
+    report
+        .host_reports
+        .iter()
+        .map(|hr| hr.devices.iter().map(|d| d.device_checksum).collect())
+        .collect()
 }
 
 /// Run the chaos workload start to finish. Zero-fault, no-kill
-/// workloads route through the plain [`FabricDriver`] loop
-/// (byte-identical to the PR 8 path); anything armed routes through the
-/// chunk-granular fault path.
-pub fn run_fabric_chaos(w: &FabricChaosWorkload) -> Result<FabricChaosRun, FabricError> {
-    run_chaos_inner(w, None, false)
-}
-
-/// Run the chaos workload on the chunk-granular path unconditionally —
-/// the uninterrupted baseline the mid-collective resume oracle compares
-/// against.
-pub fn run_fabric_chaos_chunked(w: &FabricChaosWorkload) -> Result<FabricChaosRun, FabricError> {
-    run_chaos_inner(w, None, true)
-}
-
-/// Run the chaos workload, suspend the whole fabric at chunk boundary
-/// `at` **inside** that step's all-reduce, round-trip every host, the
-/// collective engine, and the in-flight op through the serialized
-/// snapshot envelope, and finish. The returned `outcome` must serialize
-/// byte-identical to [`run_fabric_chaos_chunked`]'s.
-pub fn run_fabric_chaos_resumed(
-    w: &FabricChaosWorkload,
-    at: ChunkPoint,
-) -> Result<FabricChaosRun, FabricError> {
-    run_chaos_inner(w, Some(at), true)
+/// workloads route through the plain [`FabricDriver`] loop (byte-identical
+/// to the fault-free fabric); anything armed routes through
+/// [`ChaosDriver`], the chunk-granular fault path that
+/// [`crate::resume::run_uninterrupted`] runs unconditionally.
+pub fn run_fabric_chaos(w: &FabricChaosWorkload) -> Result<FabricChaosOutcome, FabricError> {
+    if w.chunked() {
+        return Ok(run_uninterrupted(w)?.report);
+    }
+    // The fault-free anchor: with nothing armed, the chaos harness IS the
+    // plain fabric loop — same driver, same report bytes.
+    let mut d = FabricDriver::new(&w.fabric)?;
+    let mut step_sums = Vec::new();
+    let mut param_checksum = FNV_SEED;
+    for _ in 0..w.fabric.base.steps {
+        d.run_step()?;
+        step_sums.push(fnv_fold(FNV_SEED, d.global_grads()));
+        for line in d.last_params() {
+            param_checksum = fnv_fold(param_checksum, line.bytes());
+        }
+    }
+    let report = d.report();
+    Ok(FabricChaosOutcome {
+        device_checksums: device_checksums(&report),
+        live_hosts: report.hosts,
+        regroups: 0,
+        readmissions: 0,
+        typed_errors: 0,
+        fstats: CollectiveFaultStats::default(),
+        ras: RasStats::default(),
+        poisoned_admitted: 0,
+        detections: Vec::new(),
+        step_grad_checksums: step_sums,
+        param_checksum,
+        report,
+    })
 }

@@ -39,18 +39,14 @@ pub use churn::{
     KillSpec,
 };
 pub use cluster::{
-    run_cluster_resumed, run_cluster_uninterrupted, ClusterConfig, ClusterDriver, ClusterReport,
-    ClusterRunOutcome, ClusterSession, ClusterSnapshot, ClusterWorkload, ClusterWorkloadSnapshot,
-    CpuPool, CpuPoolSnapshot, HostLinkReport,
+    ClusterConfig, ClusterDriver, ClusterReport, ClusterSession, ClusterSnapshot, ClusterWorkload,
+    ClusterWorkloadSnapshot, CpuPool, CpuPoolSnapshot, HostLinkReport,
 };
 pub use config::TecoConfig;
-pub use fabric::{
-    host0_matches_cluster_path, run_fabric_resumed, run_fabric_uninterrupted, FabricDriver,
-    FabricError, FabricReport, FabricRunOutcome, FabricSnapshot, FabricWorkload,
-};
+pub use fabric::{FabricDriver, FabricError, FabricReport, FabricSnapshot, FabricWorkload};
 pub use fabric_chaos::{
-    run_fabric_chaos, run_fabric_chaos_chunked, run_fabric_chaos_resumed, ChaosDetection,
-    ChunkPoint, FabricChaosOutcome, FabricChaosRun, FabricChaosWorkload, HostKillSpec,
+    run_fabric_chaos, ChaosDetection, ChunkPoint, FabricChaosOutcome, FabricChaosWorkload,
+    HostKillSpec,
 };
 pub use placement::{
     PlacementEngine, PlacementEngineSnapshot, PlacementPolicy, PlacementStats, TensorClass,

@@ -1,17 +1,21 @@
 //! Kill-injection harness: crash-consistent snapshots with bit-identical
-//! resume.
+//! resume, shared by every layer.
 //!
-//! The harness drives a fixed-seed session workload (the same shape as the
-//! offload crate's fault sweeps: per step, a gradient flush + fence, the
-//! `check_activation` call, a bulk parameter push + fence) and can **kill**
-//! the run at any configured step boundary: it captures a
-//! [`WorkloadSnapshot`], serializes it through the versioned+checksummed
+//! Each layer replays the same training step (Listing 1: gradient flush +
+//! `CXLFENCE`, `check_activation`, parameter push + `CXLFENCE`) through a
+//! [`Driver`]: the single session ([`SessionDriver`]), the N-device
+//! cluster ([`crate::cluster::ClusterDriver`]), the H-host fabric
+//! ([`crate::fabric::FabricDriver`]) and fabric chaos
+//! ([`crate::fabric_chaos::ChaosDriver`], whose kills land between two
+//! chunks of a collective). [`run_uninterrupted`] runs a [`Workload`]
+//! start to finish; [`run_resumed`] **kills** it at a point: it captures
+//! the driver's snapshot, serializes it through the versioned+checksummed
 //! envelope ([`teco_sim::snapshot`]), *drops every piece of live state*,
 //! then restores from nothing but the serialized bytes and runs the
-//! remainder. The contract — enforced by `tests/snapshot_resume.rs` and the
-//! CI `sweep-smoke` job — is that the resumed run's [`ResumeReport`]
-//! serializes to JSON **byte-identical** to an uninterrupted run of the
-//! same workload, including with nonzero fault rates where the kill lands
+//! remainder. The contract — enforced by `tests/snapshot_resume.rs` and
+//! the CI `sweep-smoke` job — is that the resumed run's report serializes
+//! to JSON **byte-identical** to an uninterrupted run of the same
+//! workload, including with nonzero fault rates where the kill lands
 //! between two retries of the link's replay schedule.
 //!
 //! Snapshot/restore occurrence counts live in [`RunOutcome`], *outside* the
@@ -23,7 +27,132 @@ use crate::session::{SessionError, SessionSnapshot, SessionStats, TecoSession};
 use serde::{Deserialize, Serialize};
 use teco_cxl::{FaultStats, FenceStats};
 use teco_mem::{Addr, LineData, LINE_BYTES};
-use teco_sim::{decode_snapshot, encode_snapshot, SimRng, SimTime, SnapshotError};
+use teco_sim::{decode_snapshot, encode_snapshot, fnv_fold, SimRng, SimTime, FNV_SEED};
+
+/// A point a kill can land at: a step plus a position inside it.
+pub trait StepPoint: Copy {
+    /// The 0-based step the point sits in.
+    fn step(&self) -> u64;
+}
+
+/// One layer's live state, as the kill/resume harness drives it.
+pub trait Driver: Sized {
+    /// What the driver is built from.
+    type Workload;
+    /// Where a kill may land.
+    type Point: StepPoint;
+    /// Everything the driver holds at a kill point, captured whole.
+    type Snapshot: Serialize + Deserialize;
+    /// The byte-identity-comparable result.
+    type Report;
+    /// The layer's typed error.
+    type Error;
+
+    /// Build the driver before its first step.
+    fn new(w: &Self::Workload) -> Result<Self, Self::Error>;
+    /// Completed steps.
+    fn step(&self) -> u64;
+    /// Run the current step from `from` (exclusive; `None`: the step's
+    /// start) to `to` (inclusive; `None`: the step's end).
+    fn advance(
+        &mut self,
+        from: Option<Self::Point>,
+        to: Option<Self::Point>,
+    ) -> Result<(), Self::Error>;
+    /// Capture the driver whole.
+    fn capture(&self) -> Self::Snapshot;
+    /// Rebuild a driver from a captured state.
+    fn restore(s: &Self::Snapshot) -> Result<Self, Self::Error>;
+    /// The report at the current step.
+    fn report(&self) -> Self::Report;
+    /// The final audit walk's failure message; `None` when auditing is off
+    /// or every walk passed.
+    fn audit_error(&self) -> Option<String>;
+    /// The layer's configuration error, carrying `msg`.
+    fn invalid(msg: String) -> Self::Error;
+}
+
+/// A fixed-seed workload the harness can run, kill, and resume.
+pub trait Workload {
+    /// The driver that runs it.
+    type Driver: Driver<Workload = Self>;
+    /// Training steps to simulate.
+    fn steps(&self) -> u64;
+}
+
+/// A report plus the harness-side bookkeeping that must stay *out* of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutcome<R> {
+    /// The byte-identity-comparable report.
+    pub report: R,
+    /// Snapshots the harness took (0 for an uninterrupted run).
+    pub snapshots_taken: u64,
+    /// Restores the harness performed (0 for an uninterrupted run).
+    pub restores: u64,
+    /// Serialized snapshot size in bytes (0 for an uninterrupted run).
+    pub snapshot_bytes: u64,
+    /// The final audit walk's failure message; `None` when auditing is off
+    /// or the walk passed.
+    pub last_audit_error: Option<String>,
+}
+
+/// Run the workload start to finish with no interruption.
+pub fn run_uninterrupted<W, D>(w: &W) -> Result<RunOutcome<D::Report>, D::Error>
+where
+    W: Workload<Driver = D>,
+    D: Driver<Workload = W>,
+{
+    let mut d = D::new(w)?;
+    run_until(&mut d, w.steps())?;
+    Ok(outcome(&d, None))
+}
+
+/// Run the workload, kill it at `at`, restore from serialized bytes, and
+/// finish. The returned outcome's `report` must serialize byte-identical
+/// to [`run_uninterrupted`]'s. A kill point the run never reaches is the
+/// layer's configuration error.
+pub fn run_resumed<W, D>(w: &W, at: D::Point) -> Result<RunOutcome<D::Report>, D::Error>
+where
+    W: Workload<Driver = D>,
+    D: Driver<Workload = W>,
+{
+    if at.step() >= w.steps() {
+        return Err(D::invalid(format!("kill step {} out of range {}", at.step(), w.steps())));
+    }
+    let mut d = D::new(w)?;
+    run_until(&mut d, at.step())?;
+    d.advance(None, Some(at))?;
+
+    // The kill: serialize, destroy every piece of live state, restore from
+    // nothing but the bytes.
+    let bytes = encode_snapshot(&d.capture());
+    drop(d);
+    let snap: D::Snapshot = decode_snapshot(&bytes).map_err(|e| D::invalid(e.to_string()))?;
+    let mut d = D::restore(&snap)?;
+
+    d.advance(Some(at), None)?;
+    run_until(&mut d, w.steps())?;
+    Ok(outcome(&d, Some(bytes.len() as u64)))
+}
+
+/// Run whole steps until `steps` are complete.
+fn run_until<D: Driver>(d: &mut D, steps: u64) -> Result<(), D::Error> {
+    while d.step() < steps {
+        d.advance(None, None)?;
+    }
+    Ok(())
+}
+
+fn outcome<D: Driver>(d: &D, snapshot_bytes: Option<u64>) -> RunOutcome<D::Report> {
+    let kills = snapshot_bytes.is_some() as u64;
+    RunOutcome {
+        report: d.report(),
+        snapshots_taken: kills,
+        restores: kills,
+        snapshot_bytes: snapshot_bytes.unwrap_or(0),
+        last_audit_error: d.audit_error(),
+    }
+}
 
 /// A fixed-seed session workload the harness can run, kill, and resume.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -55,6 +184,7 @@ impl ResumeWorkload {
 }
 
 /// Where inside a step the harness may snapshot (and a kill may land).
+/// Each boundary names the end of one phase of the step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StepBoundary {
     /// After the gradient flush and its `CXLFENCE`.
@@ -66,6 +196,24 @@ pub enum StepBoundary {
     AfterParamFence,
 }
 
+impl StepBoundary {
+    /// Every boundary, in step order.
+    pub const ALL: [StepBoundary; 3] = [
+        StepBoundary::AfterGradFence,
+        StepBoundary::AfterActivation,
+        StepBoundary::AfterParamFence,
+    ];
+
+    /// The phases a driver runs going from `from` (exclusive; `None`: the
+    /// step's start) to `to` (inclusive; `None`: the step's end), each
+    /// named by the boundary it ends at.
+    pub fn span(from: Option<Self>, to: Option<Self>) -> impl Iterator<Item = Self> {
+        let lo = from.map_or(0, |b| b as usize + 1);
+        let hi = to.map_or(Self::ALL.len(), |b| b as usize + 1);
+        Self::ALL.into_iter().take(hi).skip(lo)
+    }
+}
+
 /// A kill instruction: snapshot at this boundary of this step, drop all
 /// live state, restore from bytes, continue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,6 +222,12 @@ pub struct KillPoint {
     pub step: u64,
     /// Boundary within that step.
     pub boundary: StepBoundary,
+}
+
+impl StepPoint for KillPoint {
+    fn step(&self) -> u64 {
+        self.step
+    }
 }
 
 /// The run's observable result. Serializing this to JSON is the
@@ -93,27 +247,11 @@ pub struct ResumeReport {
     pub sim_time_ns: u64,
     /// Regions degraded to the baseline path, in degradation order.
     pub degraded: Vec<String>,
-    /// FNV-1a-64 over every written giant-cache line, in address order —
-    /// the device-memory end state, compressed to one word.
+    /// [`fnv_fold`] over every written giant-cache line, in address order
+    /// — the device-memory end state, compressed to one word.
     pub device_checksum: u64,
     /// Was the paranoid auditor enabled for this run?
     pub audit_enabled: bool,
-}
-
-/// A report plus the harness-side bookkeeping that must stay *out* of it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunOutcome {
-    /// The byte-identity-comparable report.
-    pub report: ResumeReport,
-    /// Snapshots the harness took (0 for an uninterrupted run).
-    pub snapshots_taken: u64,
-    /// Restores the harness performed (0 for an uninterrupted run).
-    pub restores: u64,
-    /// Serialized snapshot size in bytes (0 for an uninterrupted run).
-    pub snapshot_bytes: u64,
-    /// The final audit walk's failure message; `None` when auditing is off
-    /// or the walk passed.
-    pub last_audit_error: Option<String>,
 }
 
 /// Everything the workload driver holds between steps, captured whole.
@@ -134,8 +272,8 @@ pub struct WorkloadSnapshot {
     pub grad_base: u64,
 }
 
-/// Live driver state (what a kill destroys).
-struct Driver {
+/// Live driver state for a [`ResumeWorkload`] (what a kill destroys).
+pub struct SessionDriver {
     session: TecoSession,
     rng: SimRng,
     now: SimTime,
@@ -144,12 +282,64 @@ struct Driver {
     grad_base: Addr,
 }
 
-impl Driver {
+impl SessionDriver {
+    fn random_line(&mut self) -> LineData {
+        let mut l = LineData::zeroed();
+        for w in 0..(LINE_BYTES / 4) {
+            l.set_word(w, self.rng.next_u64() as u32);
+        }
+        l
+    }
+
+    /// Lines of the region at `base`, recovered from the region registry so
+    /// a restored driver needs nothing beyond the snapshot.
+    fn region_lines(&self, base: Addr) -> u64 {
+        (self.session.giant_cache().regions().lookup(base))
+            .map(|r| r.size / LINE_BYTES as u64)
+            .expect("regions were allocated at driver construction")
+    }
+
+    /// Run the phase of the current step that ends at `b`.
+    fn phase(&mut self, b: StepBoundary) -> Result<(), SessionError> {
+        match b {
+            // Gradient flush + fence (inside loss.backward()).
+            StepBoundary::AfterGradFence => {
+                for i in 0..self.region_lines(self.grad_base) {
+                    let line = self.random_line();
+                    let addr = Addr(self.grad_base.0 + i * LINE_BYTES as u64);
+                    self.session.push_grad_line(addr, line, self.now)?;
+                }
+                self.now = self.session.cxlfence_grads(self.now);
+            }
+            // Listing 1's one TECO line.
+            StepBoundary::AfterActivation => {
+                self.session.check_activation(self.step);
+            }
+            // Bulk parameter push + fence (inside optimizer.step()).
+            StepBoundary::AfterParamFence => {
+                let n = self.region_lines(self.param_base);
+                let lines: Vec<LineData> = (0..n).map(|_| self.random_line()).collect();
+                self.session.push_param_lines(self.param_base, &lines, self.now)?;
+                self.now = self.session.cxlfence_params(self.now);
+                self.step += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Driver for SessionDriver {
+    type Workload = ResumeWorkload;
+    type Point = KillPoint;
+    type Snapshot = WorkloadSnapshot;
+    type Report = ResumeReport;
+    type Error = SessionError;
+
     fn new(w: &ResumeWorkload) -> Result<Self, SessionError> {
         let mut session = TecoSession::new(w.cfg.clone())?;
         let (_, param_base) = session.alloc_tensor("params", w.param_lines * LINE_BYTES as u64)?;
         let (_, grad_base) = session.alloc_tensor("grads", w.grad_lines * LINE_BYTES as u64)?;
-        Ok(Driver {
+        Ok(SessionDriver {
             session,
             rng: SimRng::seed_from_u64(w.seed),
             now: SimTime::ZERO,
@@ -157,6 +347,19 @@ impl Driver {
             param_base,
             grad_base,
         })
+    }
+
+    fn step(&self) -> u64 {
+        self.step
+    }
+
+    fn advance(
+        &mut self,
+        from: Option<KillPoint>,
+        to: Option<KillPoint>,
+    ) -> Result<(), SessionError> {
+        StepBoundary::span(from.map(|k| k.boundary), to.map(|k| k.boundary))
+            .try_for_each(|b| self.phase(b))
     }
 
     fn capture(&self) -> WorkloadSnapshot {
@@ -171,7 +374,7 @@ impl Driver {
     }
 
     fn restore(s: &WorkloadSnapshot) -> Result<Self, SessionError> {
-        Ok(Driver {
+        Ok(SessionDriver {
             session: TecoSession::from_snapshot(&s.session)?,
             rng: SimRng::from_state(s.rng),
             now: SimTime::from_ps(s.now_ps),
@@ -181,82 +384,23 @@ impl Driver {
         })
     }
 
-    fn random_line(&mut self) -> LineData {
-        let mut l = LineData::zeroed();
-        for w in 0..(LINE_BYTES / 4) {
-            l.set_word(w, self.rng.next_u64() as u32);
-        }
-        l
+    fn report(&self) -> ResumeReport {
+        device_report(&self.session, self.step, self.now)
     }
 
-    /// Per-step line counts, recovered from the region registry so a
-    /// restored driver needs nothing beyond the snapshot.
-    fn grad_lines(&self) -> u64 {
-        (self.session.giant_cache().regions().lookup(self.grad_base))
-            .map(|r| r.size / LINE_BYTES as u64)
-            .expect("grad region was allocated at driver construction")
+    fn audit_error(&self) -> Option<String> {
+        audit_status(&self.session)
     }
 
-    fn param_lines(&self) -> u64 {
-        (self.session.giant_cache().regions().lookup(self.param_base))
-            .map(|r| r.size / LINE_BYTES as u64)
-            .expect("param region was allocated at driver construction")
+    fn invalid(msg: String) -> SessionError {
+        SessionError::Config(msg)
     }
+}
 
-    /// Run the current step from its start up to (and including) `until`.
-    fn run_step_until(&mut self, until: StepBoundary) -> Result<(), SessionError> {
-        // Gradient flush + fence (inside loss.backward()).
-        for i in 0..self.grad_lines() {
-            let line = self.random_line();
-            self.session.push_grad_line(
-                Addr(self.grad_base.0 + i * LINE_BYTES as u64),
-                line,
-                self.now,
-            )?;
-        }
-        self.now = self.session.cxlfence_grads(self.now);
-        if until == StepBoundary::AfterGradFence {
-            return Ok(());
-        }
-        // Listing 1's one TECO line.
-        self.session.check_activation(self.step);
-        if until == StepBoundary::AfterActivation {
-            return Ok(());
-        }
-        self.push_params_and_fence()?;
-        self.step += 1;
-        Ok(())
-    }
-
-    /// Finish the current step from `after` (exclusive) to its end.
-    fn finish_step_from(&mut self, after: StepBoundary) -> Result<(), SessionError> {
-        match after {
-            StepBoundary::AfterParamFence => Ok(()), // step completed pre-kill
-            StepBoundary::AfterGradFence => {
-                self.session.check_activation(self.step);
-                self.push_params_and_fence()?;
-                self.step += 1;
-                Ok(())
-            }
-            StepBoundary::AfterActivation => {
-                self.push_params_and_fence()?;
-                self.step += 1;
-                Ok(())
-            }
-        }
-    }
-
-    /// Bulk parameter push + fence (inside optimizer.step()).
-    fn push_params_and_fence(&mut self) -> Result<(), SessionError> {
-        let n = self.param_lines();
-        let lines: Vec<LineData> = (0..n).map(|_| self.random_line()).collect();
-        self.session.push_param_lines(self.param_base, &lines, self.now)?;
-        self.now = self.session.cxlfence_params(self.now);
-        Ok(())
-    }
-
-    fn report(&self, steps: u64) -> ResumeReport {
-        device_report(&self.session, steps, self.now)
+impl Workload for ResumeWorkload {
+    type Driver = SessionDriver;
+    fn steps(&self) -> u64 {
+        self.steps
     }
 }
 
@@ -265,19 +409,16 @@ impl Driver {
 /// report is byte-identical to the single-device path *by construction* —
 /// both run through this exact function.
 pub(crate) fn device_report(session: &TecoSession, steps: u64, now: SimTime) -> ResumeReport {
-    // FNV-1a-64 over written lines, in address order; quarantined lines
-    // (unreadable by design) hash as a zero line.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    // Written lines in address order; quarantined lines (unreadable by
+    // design) hash as a zero line.
     let gc = session.giant_cache();
-    for idx in gc.written_line_indices() {
+    let device_checksum = gc.written_line_indices().fold(FNV_SEED, |h, idx| {
         let line = gc
             .read_line(Addr(idx as u64 * LINE_BYTES as u64))
             .map(|l| *l.bytes())
             .unwrap_or([0u8; LINE_BYTES]);
-        for b in line {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
+        fnv_fold(h, &line)
+    });
     ResumeReport {
         steps,
         stats: session.stats(),
@@ -285,59 +426,9 @@ pub(crate) fn device_report(session: &TecoSession, steps: u64, now: SimTime) -> 
         fence: session.fence_stats(),
         sim_time_ns: now.as_ns(),
         degraded: session.degraded_regions().to_vec(),
-        device_checksum: h,
+        device_checksum,
         audit_enabled: session.audit_enabled(),
     }
-}
-
-/// Run the workload start to finish with no interruption.
-pub fn run_uninterrupted(w: &ResumeWorkload) -> Result<RunOutcome, SessionError> {
-    let mut d = Driver::new(w)?;
-    for _ in 0..w.steps {
-        d.run_step_until(StepBoundary::AfterParamFence)?;
-    }
-    let last_audit_error = audit_status(&d.session);
-    Ok(RunOutcome {
-        report: d.report(w.steps),
-        snapshots_taken: 0,
-        restores: 0,
-        snapshot_bytes: 0,
-        last_audit_error,
-    })
-}
-
-/// Run the workload, kill it at `kill`, restore from serialized bytes, and
-/// finish. The returned outcome's `report` must serialize byte-identical
-/// to [`run_uninterrupted`]'s.
-pub fn run_resumed(w: &ResumeWorkload, kill: KillPoint) -> Result<RunOutcome, SessionError> {
-    assert!(kill.step < w.steps, "kill step {} out of range {}", kill.step, w.steps);
-    let mut d = Driver::new(w)?;
-    for _ in 0..kill.step {
-        d.run_step_until(StepBoundary::AfterParamFence)?;
-    }
-    d.run_step_until(kill.boundary)?;
-
-    // The kill: serialize, destroy every piece of live state, restore from
-    // nothing but the bytes.
-    let bytes = encode_snapshot(&d.capture());
-    let snapshot_bytes = bytes.len() as u64;
-    drop(d);
-    let snap: WorkloadSnapshot =
-        decode_snapshot(&bytes).map_err(|e: SnapshotError| SessionError::Config(e.to_string()))?;
-    let mut d = Driver::restore(&snap)?;
-
-    d.finish_step_from(kill.boundary)?;
-    while d.step < w.steps {
-        d.run_step_until(StepBoundary::AfterParamFence)?;
-    }
-    let last_audit_error = audit_status(&d.session);
-    Ok(RunOutcome {
-        report: d.report(w.steps),
-        snapshots_taken: 1,
-        restores: 1,
-        snapshot_bytes,
-        last_audit_error,
-    })
 }
 
 /// The final audit walk's status: `None` when auditing is off or the walk
@@ -349,7 +440,9 @@ pub(crate) fn audit_status(session: &TecoSession) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teco_cxl::FaultConfig;
+    use crate::fabric_chaos::{ChunkPoint, FabricChaosWorkload};
+    use crate::{ClusterWorkload, FabricError, FabricWorkload};
+    use teco_cxl::{CollectivePhase, FaultConfig};
 
     fn faulty_workload(seed: u64) -> ResumeWorkload {
         let mut w = ResumeWorkload::small(seed);
@@ -369,11 +462,7 @@ mod tests {
     fn all_kill_points(w: &ResumeWorkload) -> Vec<KillPoint> {
         let mut pts = Vec::new();
         for step in [0, w.steps / 2, w.steps - 1] {
-            for boundary in [
-                StepBoundary::AfterGradFence,
-                StepBoundary::AfterActivation,
-                StepBoundary::AfterParamFence,
-            ] {
+            for boundary in StepBoundary::ALL {
                 pts.push(KillPoint { step, boundary });
             }
         }
@@ -436,5 +525,22 @@ mod tests {
             serde_json::to_string(&resumed.report).unwrap(),
             serde_json::to_string(&base.report).unwrap(),
         );
+    }
+
+    #[test]
+    fn kill_points_outside_the_run_are_config_errors() {
+        let past = |steps| KillPoint { step: steps, boundary: StepBoundary::AfterGradFence };
+        let w = ResumeWorkload::small(1);
+        assert!(matches!(run_resumed(&w, past(w.steps)), Err(SessionError::Config(_))));
+        let w = ClusterWorkload::small(2, 1);
+        assert!(matches!(run_resumed(&w, past(w.steps)), Err(SessionError::Config(_))));
+        let w = FabricWorkload::small(2, 2, 1);
+        assert!(matches!(run_resumed(&w, past(w.base.steps)), Err(FabricError::Config(_))));
+        // A chunk past the phase's last one is never reached.
+        let w = FabricChaosWorkload::small(2, 2, 1).with_port_fault_rate(0.25);
+        for (step, chunk) in [(w.fabric.base.steps, 0), (1, 1 << 20)] {
+            let at = ChunkPoint { step, phase: CollectivePhase::AllGather, chunk };
+            assert!(matches!(run_resumed(&w, at), Err(FabricError::Config(_))), "{at:?}");
+        }
     }
 }

@@ -11,11 +11,8 @@
 //!   bit-identically for H ∈ {2, 4} (satellite: fabric snapshot/resume
 //!   inside the all-reduce).
 
-use teco_core::fabric::run_fabric_uninterrupted;
-use teco_core::fabric_chaos::{
-    run_fabric_chaos, run_fabric_chaos_chunked, run_fabric_chaos_resumed, ChunkPoint,
-    FabricChaosWorkload, HostKillSpec,
-};
+use teco_core::fabric_chaos::{run_fabric_chaos, ChunkPoint, FabricChaosWorkload, HostKillSpec};
+use teco_core::{run_resumed, run_uninterrupted};
 use teco_cxl::CollectivePhase;
 
 const PHASES: [CollectivePhase; 2] = [CollectivePhase::ReduceScatter, CollectivePhase::AllGather];
@@ -36,20 +33,19 @@ fn zero_fault_chaos_is_byte_identical_to_the_fabric_path() {
         let w = small_chaos(hosts, 21);
         assert!(!w.chunked(), "nothing armed must route through the plain fabric loop");
         let chaos = run_fabric_chaos(&w).unwrap();
-        let fabric = run_fabric_uninterrupted(&w.fabric).unwrap();
+        let fabric = run_uninterrupted(&w.fabric).unwrap();
         assert_eq!(
-            serde_json::to_string(&chaos.outcome.report).unwrap(),
+            serde_json::to_string(&chaos.report).unwrap(),
             serde_json::to_string(&fabric.report).unwrap(),
             "H={hosts}: zero-fault chaos report must be byte-identical to PR 8's"
         );
-        assert_eq!(chaos.snapshots_taken, 0);
-        assert!(chaos.outcome.detections.is_empty());
+        assert!(chaos.detections.is_empty());
     }
 }
 
 #[test]
 fn kill_at_every_chunk_boundary_regroups_bit_identically_to_h3() {
-    let golden = run_fabric_chaos(&small_chaos(3, 33)).unwrap().outcome;
+    let golden = run_fabric_chaos(&small_chaos(3, 33)).unwrap();
     let kill_step = 1u64;
     // 512 B / 4 shards = 128 B per shard = 2 chunks of 64 B → 8 flat
     // items per phase at H=4.
@@ -61,7 +57,7 @@ fn kill_at_every_chunk_boundary_regroups_bit_identically_to_h3() {
                 phase,
                 chunk,
             });
-            let out = run_fabric_chaos(&w).unwrap().outcome;
+            let out = run_fabric_chaos(&w).unwrap();
             assert_eq!(out.detections.len(), 1, "{phase:?} chunk {chunk}");
             let d = out.detections[0];
             assert_eq!((d.host, d.step, d.phase), (3, kill_step, phase));
@@ -91,7 +87,7 @@ fn readmitted_host_converges_byte_identically() {
     w.fabric.base.steps = 6;
     let mut golden_w = small_chaos(4, 44);
     golden_w.fabric.base.steps = 6;
-    let golden = run_fabric_chaos_chunked(&golden_w).unwrap().outcome;
+    let golden = run_uninterrupted(&golden_w).unwrap().report;
 
     let w = w
         .with_kill(HostKillSpec {
@@ -101,7 +97,7 @@ fn readmitted_host_converges_byte_identically() {
             chunk: 2,
         })
         .with_readmit_after(1);
-    let out = run_fabric_chaos(&w).unwrap().outcome;
+    let out = run_fabric_chaos(&w).unwrap();
     assert_eq!(out.readmissions, 1);
     assert_eq!(out.live_hosts, 4, "the lost host must be back in the live set");
     // The readmitted host's replicas hold exactly the bytes they would
@@ -118,10 +114,10 @@ fn readmitted_host_converges_byte_identically() {
 
 #[test]
 fn no_poison_admitted_under_any_swept_media_rate() {
-    let golden = run_fabric_chaos(&small_chaos(4, 55)).unwrap().outcome;
+    let golden = run_fabric_chaos(&small_chaos(4, 55)).unwrap();
     for rate in [0.25, 1.0, 4.0] {
         let w = small_chaos(4, 55).with_media_faults(rate);
-        let out = run_fabric_chaos(&w).unwrap().outcome;
+        let out = run_fabric_chaos(&w).unwrap();
         assert_eq!(out.poisoned_admitted, 0, "rate {rate}: poison reached a reduction");
         // Detected staging faults are re-served from the pristine source
         // replica, so the reduced data never moves.
@@ -138,9 +134,9 @@ fn no_poison_admitted_under_any_swept_media_rate() {
 
 #[test]
 fn retirement_pressure_trips_the_ring_fallback_at_the_fabric_level() {
-    let golden = run_fabric_chaos(&small_chaos(4, 66)).unwrap().outcome;
+    let golden = run_fabric_chaos(&small_chaos(4, 66)).unwrap();
     let w = small_chaos(4, 66).with_media_faults(8.0).with_ring_fallback(1);
-    let out = run_fabric_chaos(&w).unwrap().outcome;
+    let out = run_fabric_chaos(&w).unwrap();
     assert!(out.fstats.ring_fallbacks > 0, "retirement pressure never tripped rung 3");
     assert_eq!(out.poisoned_admitted, 0);
     // The ring fallback reduces the same data, just over a different
@@ -153,17 +149,17 @@ fn retirement_pressure_trips_the_ring_fallback_at_the_fabric_level() {
 fn mid_collective_resume_is_bit_identical_for_h2_and_h4() {
     for hosts in [2usize, 4] {
         let w = small_chaos(hosts, 77).with_port_fault_rate(0.25);
-        let baseline = run_fabric_chaos_chunked(&w).unwrap();
+        let baseline = run_uninterrupted(&w).unwrap();
         for phase in PHASES {
             for chunk in [0u64, 1, 3] {
                 let at = ChunkPoint { step: 1, phase, chunk };
-                let resumed = run_fabric_chaos_resumed(&w, at).unwrap();
+                let resumed = run_resumed(&w, at).unwrap();
                 assert_eq!(resumed.snapshots_taken, 1, "H={hosts} {phase:?} chunk {chunk}");
                 assert_eq!(resumed.restores, 1);
                 assert!(resumed.snapshot_bytes > 0);
                 assert_eq!(
-                    serde_json::to_string(&resumed.outcome).unwrap(),
-                    serde_json::to_string(&baseline.outcome).unwrap(),
+                    serde_json::to_string(&resumed.report).unwrap(),
+                    serde_json::to_string(&baseline.report).unwrap(),
                     "H={hosts} {phase:?} chunk {chunk}: mid-collective resume diverged"
                 );
             }
@@ -177,8 +173,8 @@ fn zero_fault_chunked_data_matches_the_plain_path() {
     // agree on every piece of training data (timing models differ).
     for hosts in [2usize, 3, 4] {
         let w = small_chaos(hosts, 88);
-        let plain = run_fabric_chaos(&w).unwrap().outcome;
-        let chunked = run_fabric_chaos_chunked(&w).unwrap().outcome;
+        let plain = run_fabric_chaos(&w).unwrap();
+        let chunked = run_uninterrupted(&w).unwrap().report;
         assert_eq!(chunked.step_grad_checksums, plain.step_grad_checksums);
         assert_eq!(chunked.param_checksum, plain.param_checksum);
         assert_eq!(chunked.device_checksums, plain.device_checksums);

@@ -6,21 +6,18 @@
 //! run's report byte-for-byte.
 
 use teco_core::resume::{KillPoint, StepBoundary};
-use teco_core::{run_fabric_resumed, run_fabric_uninterrupted, FabricWorkload};
-
-const BOUNDARIES: [StepBoundary; 3] =
-    [StepBoundary::AfterGradFence, StepBoundary::AfterActivation, StepBoundary::AfterParamFence];
+use teco_core::{run_resumed, run_uninterrupted, FabricWorkload};
 
 #[test]
 fn fabric_resume_is_byte_identical_at_every_boundary() {
     for hosts in [1usize, 2, 4] {
         let mut w = FabricWorkload::small(hosts, 2, 42);
         w.base.steps = 3;
-        let baseline = run_fabric_uninterrupted(&w).unwrap();
+        let baseline = run_uninterrupted(&w).unwrap();
         let want = serde_json::to_string(&baseline.report).unwrap();
         for step in 0..w.base.steps {
-            for boundary in BOUNDARIES {
-                let resumed = run_fabric_resumed(&w, KillPoint { step, boundary }).unwrap();
+            for boundary in StepBoundary::ALL {
+                let resumed = run_resumed(&w, KillPoint { step, boundary }).unwrap();
                 assert_eq!(resumed.snapshots_taken, 1);
                 assert_eq!(resumed.restores, 1);
                 assert!(resumed.snapshot_bytes > 0);
@@ -41,11 +38,10 @@ fn fabric_resume_preserves_collective_accounting_mid_run() {
     // counters, or the remaining steps' exchange times drift.
     let mut w = FabricWorkload::small(4, 2, 7);
     w.base.steps = 6;
-    let baseline = run_fabric_uninterrupted(&w).unwrap().report;
-    let resumed =
-        run_fabric_resumed(&w, KillPoint { step: 3, boundary: StepBoundary::AfterGradFence })
-            .unwrap()
-            .report;
+    let baseline = run_uninterrupted(&w).unwrap().report;
+    let resumed = run_resumed(&w, KillPoint { step: 3, boundary: StepBoundary::AfterGradFence })
+        .unwrap()
+        .report;
     assert_eq!(baseline.exchange_ns, resumed.exchange_ns);
     assert_eq!(baseline.fanin_saved_bytes, resumed.fanin_saved_bytes);
     assert_eq!(baseline.global_grad_checksum, resumed.global_grad_checksum);

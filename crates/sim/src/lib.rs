@@ -20,6 +20,7 @@
 //! build on.
 
 pub mod engine;
+pub mod hash;
 pub mod resource;
 pub mod rng;
 pub mod snapshot;
@@ -27,6 +28,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, EngineState, Model, Scheduler, SchedulerState};
+pub use hash::{fnv_fold, FNV_SEED};
 pub use resource::{
     BoundedServer, BoundedServerSnapshot, Interval, IntervalSet, IntervalSetSnapshot, SerialServer,
     SerialServerSnapshot,

@@ -45,14 +45,10 @@ impl SimRng {
     }
 
     /// Derive an independent child stream for a named component. The label
-    /// is hashed (FNV-1a) into the child seed, so streams with different
-    /// labels are decorrelated while remaining reproducible.
+    /// is hashed ([`crate::fnv_fold`]) into the child seed, so streams with
+    /// different labels are decorrelated while remaining reproducible.
     pub fn fork(&mut self, label: &str) -> SimRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+        let h = crate::fnv_fold(crate::FNV_SEED, label.as_bytes());
         let salt = self.next_u64();
         SimRng::seed_from_u64(h ^ salt)
     }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic "TECOSNAP" (8 B) ‖ version u32 LE ‖ payload_len u64 LE ‖
-//! FNV-1a-64(payload) u64 LE ‖ JSON payload
+//! fnv_fold(payload) u64 LE ‖ JSON payload
 //! ```
 //!
 //! The JSON payload is the serde value tree of a per-component snapshot
@@ -73,15 +73,10 @@ impl std::fmt::Display for SnapshotError {
 }
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a-64 over the payload — cheap, dependency-free, and sensitive to
-/// every single-bit flip the fuzz tests inject.
+/// [`crate::fnv_fold`] over the payload — cheap, dependency-free, and
+/// sensitive to every single-bit flip the fuzz tests inject.
 pub fn snapshot_checksum(payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    crate::fnv_fold(crate::FNV_SEED, payload)
 }
 
 /// Serialize `value` into a framed snapshot envelope.

@@ -181,11 +181,7 @@ fn resume_equivalence_zero_fault_and_faulty() {
     ] {
         let base = run_uninterrupted(&w).expect("uninterrupted run completes");
         let base_json = serde_json::to_string(&base.report).expect("serialize baseline");
-        for boundary in [
-            StepBoundary::AfterGradFence,
-            StepBoundary::AfterActivation,
-            StepBoundary::AfterParamFence,
-        ] {
+        for boundary in StepBoundary::ALL {
             let kill = KillPoint { step: w.steps / 2, boundary };
             let resumed = run_resumed(&w, kill).expect("resumed run completes");
             let resumed_json = serde_json::to_string(&resumed.report).expect("serialize resumed");
