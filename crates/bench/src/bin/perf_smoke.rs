@@ -3,14 +3,15 @@
 //! Compares the Criterion medians of the current run
 //! (`bench_results/criterion_medians.json`, written by `cargo bench`)
 //! against the committed baseline (`bench_results/BENCH.json`: the arena
-//! rewrites and the datapath kernels) and fails on a >25 % regression of
-//! any tracked key. It also re-checks the speedup claims *within the
-//! current run* — fast path vs the retained reference measured on the same
-//! machine moments apart — so the ≥2× bounds never depend on cross-machine
-//! comparisons. Finally it holds the bulk aggregator to the modeled link
-//! bandwidth: the wire feeding a PCIe-3.0×16-class CXL link is ~15 GB/s,
-//! and a datapath that can't outrun the link it feeds is the bottleneck the
-//! fused kernels exist to remove.
+//! rewrites, the datapath kernels and the snapshot codec) and fails on
+//! a >25 % regression of any tracked key. It also re-checks the speedup
+//! claims *within the current run* — fast path vs the retained reference
+//! measured on the same machine moments apart — so the ≥2× bounds never
+//! depend on cross-machine comparisons. Finally it holds the bulk
+//! aggregator to the modeled link bandwidth: the wire feeding a
+//! PCIe-3.0×16-class CXL link is ~15 GB/s, and a datapath that can't
+//! outrun the link it feeds is the bottleneck the fused kernels exist to
+//! remove.
 //!
 //! Usage:
 //!   perf_smoke           # gate current medians vs the baseline
@@ -39,6 +40,8 @@ const TRACKED: &[&str] = &[
     "aggregator_bulk/dirty_bytes_2",
     "disaggregator_bulk/merge_dirty2",
     "datapath/checksummed_kernel_2",
+    "snapshot_codec/encode",
+    "snapshot_codec/decode",
 ];
 
 /// (fast, slow, minimum required slow/fast ratio) asserted on the current

@@ -40,7 +40,7 @@ use crate::resume::{
     audit_status, device_report, Driver, KillPoint, ResumeReport, StepBoundary, Workload,
 };
 use crate::session::{SessionError, SessionSnapshot, TecoSession};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Writer};
 use teco_cxl::{
     FenceDeadline, HostAccount, HostLinkArbiter, HostLinkArbiterSnapshot, MediaRas,
     MediaRasSnapshot, RasStats,
@@ -118,34 +118,42 @@ impl ClusterConfig {
 // attributes, and `watchdog_deadline_ns` must be omitted at its default
 // so pre-fault-domain config bytes are unchanged.
 impl Serialize for ClusterConfig {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("base".to_string(), self.base.to_value()),
-            ("devices".to_string(), self.devices.to_value()),
-            ("host_dram_gb_per_sec".to_string(), self.host_dram_gb_per_sec.to_value()),
-        ];
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("base", &self.base);
+        w.field("devices", &self.devices);
+        w.field("host_dram_gb_per_sec", &self.host_dram_gb_per_sec);
         if self.watchdog_deadline_ns != 1_000_000 {
-            fields.push(("watchdog_deadline_ns".to_string(), self.watchdog_deadline_ns.to_value()));
+            w.field("watchdog_deadline_ns", &self.watchdog_deadline_ns);
         }
-        serde::Value::Object(fields)
+        w.end_object();
     }
 }
 
 impl Deserialize for ClusterConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(v: &serde::Value, key: &str) -> Result<T, serde::Error> {
-            T::from_value(v.get(key).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{key}` in ClusterConfig"))
-            })?)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut base, mut devices, mut host_dram_gb_per_sec, mut watchdog_deadline_ns) =
+            (None, None, None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "base" => r.field(&mut base)?,
+                "devices" => r.field(&mut devices)?,
+                "host_dram_gb_per_sec" => r.field(&mut host_dram_gb_per_sec)?,
+                "watchdog_deadline_ns" => r.field(&mut watchdog_deadline_ns)?,
+                _ => r.skip_value()?,
+            }
         }
+        const TY: &str = "ClusterConfig";
         Ok(ClusterConfig {
-            base: req(v, "base")?,
-            devices: req(v, "devices")?,
-            host_dram_gb_per_sec: req(v, "host_dram_gb_per_sec")?,
-            watchdog_deadline_ns: match v.get("watchdog_deadline_ns") {
-                Some(wv) => u64::from_value(wv)?,
-                None => 1_000_000,
-            },
+            base: Reader::required(base, "base", TY)?,
+            devices: Reader::required(devices, "devices", TY)?,
+            host_dram_gb_per_sec: Reader::required(
+                host_dram_gb_per_sec,
+                "host_dram_gb_per_sec",
+                TY,
+            )?,
+            watchdog_deadline_ns: watchdog_deadline_ns.unwrap_or(1_000_000),
         })
     }
 }
@@ -735,8 +743,25 @@ impl ClusterSession {
     /// original's.
     pub fn from_snapshot(s: &ClusterSnapshot) -> Result<Self, SessionError> {
         s.cfg.validate().map_err(SessionError::Config)?;
-        let n = s.devices.len();
-        assert_eq!(n, s.cfg.devices, "snapshot device count must match its config");
+        let n = s.cfg.devices;
+        let a = &s.arbiter;
+        let per_device = [
+            ("devices", s.devices.len()),
+            ("now_ps", s.now_ps.len()),
+            ("host_seen", s.host_seen.len()),
+            ("bcast_seen", s.bcast_seen.len()),
+            ("alive", s.alive.len()),
+            ("detected_down", s.detected_down.len()),
+            ("arbiter.n", a.n as usize),
+            ("arbiter.accounts", a.accounts.len()),
+            // Empty means all-clear (see `HostLinkArbiter::restore`).
+            ("arbiter.quarantined", if a.quarantined.is_empty() { n } else { a.quarantined.len() }),
+        ];
+        if let Some((name, len)) = per_device.into_iter().find(|&(_, len)| len != n) {
+            return Err(SessionError::Config(format!(
+                "snapshot has {len} {name} entries for {n} devices"
+            )));
+        }
         let devices =
             s.devices.iter().map(TecoSession::from_snapshot).collect::<Result<Vec<_>, _>>()?;
         Ok(ClusterSession {
@@ -1301,6 +1326,32 @@ mod tests {
                     assert_eq!(json, base_json, "N={devices} kill at {kill:?} diverged");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn from_snapshot_rejects_per_device_length_mismatches() {
+        let cfg = ClusterConfig::new(TecoConfig::default().with_giant_cache_bytes(1 << 20), 2);
+        let clean = ClusterSession::new(cfg).unwrap().snapshot();
+        assert!(ClusterSession::from_snapshot(&clean).is_ok());
+        let edits: [fn(&mut ClusterSnapshot); 9] = [
+            |s| s.devices.push(s.devices[0].clone()),
+            |s| s.now_ps.push(0),
+            |s| s.host_seen.push(0),
+            |s| s.bcast_seen.push(0),
+            |s| s.alive.push(true),
+            |s| s.detected_down.push(false),
+            |s| s.arbiter.n = 3,
+            |s| s.arbiter.accounts.push(HostAccount::default()),
+            |s| s.arbiter.quarantined.push(false),
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut s = clean.clone();
+            edit(&mut s);
+            assert!(
+                matches!(ClusterSession::from_snapshot(&s), Err(SessionError::Config(_))),
+                "edit {i} was not a typed Config error"
+            );
         }
     }
 

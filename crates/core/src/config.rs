@@ -7,7 +7,7 @@
 //! producer-consumer workloads, invalidation otherwise.
 
 use crate::placement::PlacementPolicy;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Writer};
 use teco_cxl::{CxlConfig, ProtocolMode, RasConfig};
 
 /// The TECO runtime configuration (the "AI model configuration file" knobs).
@@ -46,47 +46,52 @@ pub struct TecoConfig {
 // defaults so pre-RAS / pre-placement config bytes (digested inside
 // committed session snapshots) are unchanged.
 impl Serialize for TecoConfig {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("act_aft_steps".to_string(), self.act_aft_steps.to_value()),
-            ("dirty_bytes".to_string(), self.dirty_bytes.to_value()),
-            ("protocol".to_string(), self.protocol.to_value()),
-            ("cxl".to_string(), self.cxl.to_value()),
-            ("giant_cache_bytes".to_string(), self.giant_cache_bytes.to_value()),
-            ("audit".to_string(), self.audit.to_value()),
-        ];
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("act_aft_steps", &self.act_aft_steps);
+        w.field("dirty_bytes", &self.dirty_bytes);
+        w.field("protocol", &self.protocol);
+        w.field("cxl", &self.cxl);
+        w.field("giant_cache_bytes", &self.giant_cache_bytes);
+        w.field("audit", &self.audit);
         if !self.ras.is_off() {
-            fields.push(("ras".to_string(), self.ras.to_value()));
+            w.field("ras", &self.ras);
         }
         if !self.placement.is_single_tier() {
-            fields.push(("placement".to_string(), self.placement.to_value()));
+            w.field("placement", &self.placement);
         }
-        serde::Value::Object(fields)
+        w.end_object();
     }
 }
 
 impl Deserialize for TecoConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(v: &serde::Value, key: &str) -> Result<T, serde::Error> {
-            T::from_value(v.get(key).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{key}` in TecoConfig"))
-            })?)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut act_aft_steps, mut dirty_bytes, mut protocol, mut cxl) = (None, None, None, None);
+        let (mut giant_cache_bytes, mut audit, mut ras, mut placement) = (None, None, None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "act_aft_steps" => r.field(&mut act_aft_steps)?,
+                "dirty_bytes" => r.field(&mut dirty_bytes)?,
+                "protocol" => r.field(&mut protocol)?,
+                "cxl" => r.field(&mut cxl)?,
+                "giant_cache_bytes" => r.field(&mut giant_cache_bytes)?,
+                "audit" => r.field(&mut audit)?,
+                "ras" => r.field(&mut ras)?,
+                "placement" => r.field(&mut placement)?,
+                _ => r.skip_value()?,
+            }
         }
+        const TY: &str = "TecoConfig";
         Ok(TecoConfig {
-            act_aft_steps: req(v, "act_aft_steps")?,
-            dirty_bytes: req(v, "dirty_bytes")?,
-            protocol: req(v, "protocol")?,
-            cxl: req(v, "cxl")?,
-            giant_cache_bytes: req(v, "giant_cache_bytes")?,
-            audit: req(v, "audit")?,
-            ras: match v.get("ras") {
-                Some(rv) => RasConfig::from_value(rv)?,
-                None => RasConfig::off(),
-            },
-            placement: match v.get("placement") {
-                Some(pv) => PlacementPolicy::from_value(pv)?,
-                None => PlacementPolicy::SingleTier,
-            },
+            act_aft_steps: Reader::required(act_aft_steps, "act_aft_steps", TY)?,
+            dirty_bytes: Reader::required(dirty_bytes, "dirty_bytes", TY)?,
+            protocol: Reader::required(protocol, "protocol", TY)?,
+            cxl: Reader::required(cxl, "cxl", TY)?,
+            giant_cache_bytes: Reader::required(giant_cache_bytes, "giant_cache_bytes", TY)?,
+            audit: Reader::required(audit, "audit", TY)?,
+            ras: ras.unwrap_or_else(RasConfig::off),
+            placement: placement.unwrap_or(PlacementPolicy::SingleTier),
         })
     }
 }

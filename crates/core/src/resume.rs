@@ -280,6 +280,9 @@ pub struct SessionDriver {
     step: u64,
     param_base: Addr,
     grad_base: Addr,
+    /// The parameter push's line buffer, reused every step (not part of
+    /// the snapshot).
+    param_buf: Vec<LineData>,
 }
 
 impl SessionDriver {
@@ -318,8 +321,12 @@ impl SessionDriver {
             // Bulk parameter push + fence (inside optimizer.step()).
             StepBoundary::AfterParamFence => {
                 let n = self.region_lines(self.param_base);
-                let lines: Vec<LineData> = (0..n).map(|_| self.random_line()).collect();
-                self.session.push_param_lines(self.param_base, &lines, self.now)?;
+                let mut lines = std::mem::take(&mut self.param_buf);
+                lines.clear();
+                lines.extend((0..n).map(|_| self.random_line()));
+                let r = self.session.push_param_lines(self.param_base, &lines, self.now);
+                self.param_buf = lines;
+                r?;
                 self.now = self.session.cxlfence_params(self.now);
                 self.step += 1;
             }
@@ -346,6 +353,7 @@ impl Driver for SessionDriver {
             step: 0,
             param_base,
             grad_base,
+            param_buf: Vec::new(),
         })
     }
 
@@ -381,6 +389,7 @@ impl Driver for SessionDriver {
             step: s.step,
             param_base: Addr(s.param_base),
             grad_base: Addr(s.grad_base),
+            param_buf: Vec::new(),
         })
     }
 

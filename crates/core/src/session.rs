@@ -12,7 +12,7 @@
 
 use crate::config::TecoConfig;
 use crate::placement::{PlacementEngine, PlacementEngineSnapshot, PlacementPolicy};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Writer};
 use std::collections::{HashMap, HashSet};
 use teco_cxl::{
     audit_all, line_checksum, merged_reference, Agent, Aggregator, AggregatorSnapshot, AuditError,
@@ -993,59 +993,73 @@ pub struct SessionSnapshot {
 // byte-for-byte, so a RAS-off, single-tier snapshot has to keep its
 // pre-RAS, pre-placement encoding exactly.
 impl Serialize for SessionSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("cfg".to_string(), self.cfg.to_value()),
-            ("aggregator".to_string(), self.aggregator.to_value()),
-            ("giant_cache".to_string(), self.giant_cache.to_value()),
-            ("coherence".to_string(), self.coherence.to_value()),
-            ("link".to_string(), self.link.to_value()),
-            ("fence".to_string(), self.fence.to_value()),
-            ("dba_active".to_string(), self.dba_active.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-            ("fstats".to_string(), self.fstats.to_value()),
-            ("degraded".to_string(), self.degraded.to_value()),
-            ("degraded_names".to_string(), self.degraded_names.to_value()),
-            ("shadow".to_string(), self.shadow.to_value()),
-        ];
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("cfg", &self.cfg);
+        w.field("aggregator", &self.aggregator);
+        w.field("giant_cache", &self.giant_cache);
+        w.field("coherence", &self.coherence);
+        w.field("link", &self.link);
+        w.field("fence", &self.fence);
+        w.field("dba_active", &self.dba_active);
+        w.field("stats", &self.stats);
+        w.field("fstats", &self.fstats);
+        w.field("degraded", &self.degraded);
+        w.field("degraded_names", &self.degraded_names);
+        w.field("shadow", &self.shadow);
         if let Some(m) = &self.media {
-            fields.push(("media".to_string(), m.to_value()));
+            w.field("media", m);
         }
         if let Some(p) = &self.placement {
-            fields.push(("placement".to_string(), p.to_value()));
+            w.field("placement", p);
         }
-        serde::Value::Object(fields)
+        w.end_object();
     }
 }
 
 impl Deserialize for SessionSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(v: &serde::Value, key: &str) -> Result<T, serde::Error> {
-            T::from_value(v.get(key).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{key}` in SessionSnapshot"))
-            })?)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut cfg, mut aggregator, mut giant_cache, mut coherence) = (None, None, None, None);
+        let (mut link, mut fence, mut dba_active, mut stats) = (None, None, None, None);
+        let (mut fstats, mut degraded, mut degraded_names, mut shadow) = (None, None, None, None);
+        // A present `media` / `placement` key may itself hold `null`.
+        let (mut media, mut placement) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "cfg" => r.field(&mut cfg)?,
+                "aggregator" => r.field(&mut aggregator)?,
+                "giant_cache" => r.field(&mut giant_cache)?,
+                "coherence" => r.field(&mut coherence)?,
+                "link" => r.field(&mut link)?,
+                "fence" => r.field(&mut fence)?,
+                "dba_active" => r.field(&mut dba_active)?,
+                "stats" => r.field(&mut stats)?,
+                "fstats" => r.field(&mut fstats)?,
+                "degraded" => r.field(&mut degraded)?,
+                "degraded_names" => r.field(&mut degraded_names)?,
+                "shadow" => r.field(&mut shadow)?,
+                "media" => r.field(&mut media)?,
+                "placement" => r.field(&mut placement)?,
+                _ => r.skip_value()?,
+            }
         }
+        const TY: &str = "SessionSnapshot";
         Ok(SessionSnapshot {
-            cfg: req(v, "cfg")?,
-            aggregator: req(v, "aggregator")?,
-            giant_cache: req(v, "giant_cache")?,
-            coherence: req(v, "coherence")?,
-            link: req(v, "link")?,
-            fence: req(v, "fence")?,
-            dba_active: req(v, "dba_active")?,
-            stats: req(v, "stats")?,
-            fstats: req(v, "fstats")?,
-            degraded: req(v, "degraded")?,
-            degraded_names: req(v, "degraded_names")?,
-            shadow: req(v, "shadow")?,
-            media: match v.get("media") {
-                Some(mv) => Option::<MediaRasSnapshot>::from_value(mv)?,
-                None => None,
-            },
-            placement: match v.get("placement") {
-                Some(pv) => Option::<PlacementEngineSnapshot>::from_value(pv)?,
-                None => None,
-            },
+            cfg: Reader::required(cfg, "cfg", TY)?,
+            aggregator: Reader::required(aggregator, "aggregator", TY)?,
+            giant_cache: Reader::required(giant_cache, "giant_cache", TY)?,
+            coherence: Reader::required(coherence, "coherence", TY)?,
+            link: Reader::required(link, "link", TY)?,
+            fence: Reader::required(fence, "fence", TY)?,
+            dba_active: Reader::required(dba_active, "dba_active", TY)?,
+            stats: Reader::required(stats, "stats", TY)?,
+            fstats: Reader::required(fstats, "fstats", TY)?,
+            degraded: Reader::required(degraded, "degraded", TY)?,
+            degraded_names: Reader::required(degraded_names, "degraded_names", TY)?,
+            shadow: Reader::required(shadow, "shadow", TY)?,
+            media: media.flatten(),
+            placement: placement.flatten(),
         })
     }
 }

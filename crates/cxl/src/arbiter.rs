@@ -16,7 +16,7 @@
 //! path (the correctness anchor of the cluster layer), while the shared
 //! budget becomes the binding constraint as N grows.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Writer};
 use teco_sim::{Bandwidth, Interval, SimTime};
 
 /// Per-device host-link accounting.
@@ -378,70 +378,95 @@ pub struct HostLinkArbiterSnapshot {
 // all-clear/zero so pre-fault-domain and pre-collective snapshot bytes
 // are unchanged.
 impl Serialize for HostLinkArbiterSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("bw".to_string(), self.bw.to_value()),
-            ("n".to_string(), self.n.to_value()),
-            ("next_free".to_string(), self.next_free.to_value()),
-            ("rr".to_string(), self.rr.to_value()),
-            ("accounts".to_string(), self.accounts.to_value()),
-            ("rounds".to_string(), self.rounds.to_value()),
-            ("broadcast_grants".to_string(), self.broadcast_grants.to_value()),
-            ("broadcast_bytes".to_string(), self.broadcast_bytes.to_value()),
-            ("fanout_saved_bytes".to_string(), self.fanout_saved_bytes.to_value()),
-            ("fanout_deliveries".to_string(), self.fanout_deliveries.to_value()),
-        ];
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("bw", &self.bw);
+        w.field("n", &self.n);
+        w.field("next_free", &self.next_free);
+        w.field("rr", &self.rr);
+        w.field("accounts", &self.accounts);
+        w.field("rounds", &self.rounds);
+        w.field("broadcast_grants", &self.broadcast_grants);
+        w.field("broadcast_bytes", &self.broadcast_bytes);
+        w.field("fanout_saved_bytes", &self.fanout_saved_bytes);
+        w.field("fanout_deliveries", &self.fanout_deliveries);
         if self.quarantine_events != 0 || self.quarantined.iter().any(|&q| q) {
-            fields.push(("quarantined".to_string(), self.quarantined.to_value()));
-            fields.push(("quarantine_events".to_string(), self.quarantine_events.to_value()));
+            w.field("quarantined", &self.quarantined);
+            w.field("quarantine_events", &self.quarantine_events);
         }
         if self.fanin_grants != 0 {
-            fields.push(("fanin_grants".to_string(), self.fanin_grants.to_value()));
-            fields.push(("fanin_bytes".to_string(), self.fanin_bytes.to_value()));
-            fields.push(("fanin_saved_bytes".to_string(), self.fanin_saved_bytes.to_value()));
-            fields.push(("fanin_deliveries".to_string(), self.fanin_deliveries.to_value()));
+            w.field("fanin_grants", &self.fanin_grants);
+            w.field("fanin_bytes", &self.fanin_bytes);
+            w.field("fanin_saved_bytes", &self.fanin_saved_bytes);
+            w.field("fanin_deliveries", &self.fanin_deliveries);
         }
-        serde::Value::Object(fields)
+        w.end_object();
     }
 }
 
 impl Deserialize for HostLinkArbiterSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(v: &serde::Value, key: &str) -> Result<T, serde::Error> {
-            T::from_value(v.get(key).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{key}` in HostLinkArbiterSnapshot"))
-            })?)
-        }
-        fn opt(v: &serde::Value, key: &str) -> Result<u64, serde::Error> {
-            match v.get(key) {
-                Some(fv) => u64::from_value(fv),
-                None => Ok(0),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut bw, mut n, mut next_free, mut rr, mut accounts) = (None, None, None, None, None);
+        let (mut rounds, mut broadcast_grants, mut broadcast_bytes) = (None, None, None);
+        let (mut fanout_saved_bytes, mut fanout_deliveries) = (None, None);
+        let (mut quarantined, mut quarantine_events) = (None, None);
+        let (mut fanin_grants, mut fanin_bytes) = (None, None);
+        let (mut fanin_saved_bytes, mut fanin_deliveries) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "bw" => r.field(&mut bw)?,
+                "n" => r.field(&mut n)?,
+                "next_free" => r.field(&mut next_free)?,
+                "rr" => r.field(&mut rr)?,
+                "accounts" => r.field(&mut accounts)?,
+                "rounds" => r.field(&mut rounds)?,
+                "broadcast_grants" => r.field(&mut broadcast_grants)?,
+                "broadcast_bytes" => r.field(&mut broadcast_bytes)?,
+                "fanout_saved_bytes" => r.field(&mut fanout_saved_bytes)?,
+                "fanout_deliveries" => r.field(&mut fanout_deliveries)?,
+                "quarantined" => r.field(&mut quarantined)?,
+                "quarantine_events" => r.field(&mut quarantine_events)?,
+                "fanin_grants" => r.field(&mut fanin_grants)?,
+                "fanin_bytes" => r.field(&mut fanin_bytes)?,
+                "fanin_saved_bytes" => r.field(&mut fanin_saved_bytes)?,
+                "fanin_deliveries" => r.field(&mut fanin_deliveries)?,
+                _ => r.skip_value()?,
             }
         }
-        let n: u64 = req(v, "n")?;
+        const TY: &str = "HostLinkArbiterSnapshot";
+        let n: u64 = Reader::required(n, "n", TY)?;
+        let accounts: Vec<HostAccount> = Reader::required(accounts, "accounts", TY)?;
+        // An absent flag list is all-clear, one flag per device. The
+        // device count is checked against the accounts read, so hostile
+        // input cannot size the default.
+        let quarantined = match quarantined {
+            Some(q) => q,
+            None if accounts.len() as u64 == n => vec![false; accounts.len()],
+            None => {
+                return Err(serde::Error::custom(format!(
+                    "{TY}: n = {n} but {} accounts",
+                    accounts.len()
+                )))
+            }
+        };
         Ok(HostLinkArbiterSnapshot {
-            bw: req(v, "bw")?,
+            bw: Reader::required(bw, "bw", TY)?,
             n,
-            next_free: req(v, "next_free")?,
-            rr: req(v, "rr")?,
-            accounts: req(v, "accounts")?,
-            rounds: req(v, "rounds")?,
-            broadcast_grants: req(v, "broadcast_grants")?,
-            broadcast_bytes: req(v, "broadcast_bytes")?,
-            fanout_saved_bytes: req(v, "fanout_saved_bytes")?,
-            fanout_deliveries: req(v, "fanout_deliveries")?,
-            quarantined: match v.get("quarantined") {
-                Some(qv) => Vec::<bool>::from_value(qv)?,
-                None => vec![false; n as usize],
-            },
-            quarantine_events: match v.get("quarantine_events") {
-                Some(ev) => u64::from_value(ev)?,
-                None => 0,
-            },
-            fanin_grants: opt(v, "fanin_grants")?,
-            fanin_bytes: opt(v, "fanin_bytes")?,
-            fanin_saved_bytes: opt(v, "fanin_saved_bytes")?,
-            fanin_deliveries: opt(v, "fanin_deliveries")?,
+            next_free: Reader::required(next_free, "next_free", TY)?,
+            rr: Reader::required(rr, "rr", TY)?,
+            accounts,
+            rounds: Reader::required(rounds, "rounds", TY)?,
+            broadcast_grants: Reader::required(broadcast_grants, "broadcast_grants", TY)?,
+            broadcast_bytes: Reader::required(broadcast_bytes, "broadcast_bytes", TY)?,
+            fanout_saved_bytes: Reader::required(fanout_saved_bytes, "fanout_saved_bytes", TY)?,
+            fanout_deliveries: Reader::required(fanout_deliveries, "fanout_deliveries", TY)?,
+            quarantined,
+            quarantine_events: quarantine_events.unwrap_or(0),
+            fanin_grants: fanin_grants.unwrap_or(0),
+            fanin_bytes: fanin_bytes.unwrap_or(0),
+            fanin_saved_bytes: fanin_saved_bytes.unwrap_or(0),
+            fanin_deliveries: fanin_deliveries.unwrap_or(0),
         })
     }
 }

@@ -18,7 +18,7 @@
 //! never materialized.
 
 use crate::dba::{Disaggregator, DisaggregatorSnapshot};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Writer};
 use teco_mem::{
     Addr, LineBitmap, LineData, LineSlab, Region, RegionId, RegionMap, RemapSnapshot, RemapTable,
     LINE_BYTES,
@@ -440,50 +440,65 @@ pub struct GiantCacheSnapshot {
 // snapshots — digested byte-for-byte by the committed sweeps — are
 // unchanged.
 impl Serialize for GiantCacheSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("capacity".to_string(), self.capacity.to_value()),
-            ("allocated".to_string(), self.allocated.to_value()),
-            ("regions".to_string(), self.regions.to_value()),
-            ("data_len".to_string(), self.data_len.to_value()),
-            ("data_chunks".to_string(), self.data_chunks.to_value()),
-            ("written_lines".to_string(), self.written_lines.to_value()),
-            ("written_words".to_string(), self.written_words.to_value()),
-            ("quarantined_lines".to_string(), self.quarantined_lines.to_value()),
-            ("quarantined_words".to_string(), self.quarantined_words.to_value()),
-            ("disaggregator".to_string(), self.disaggregator.to_value()),
-            ("next_base".to_string(), self.next_base.to_value()),
-        ];
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("capacity", &self.capacity);
+        w.field("allocated", &self.allocated);
+        w.field("regions", &self.regions);
+        w.field("data_len", &self.data_len);
+        w.field("data_chunks", &self.data_chunks);
+        w.field("written_lines", &self.written_lines);
+        w.field("written_words", &self.written_words);
+        w.field("quarantined_lines", &self.quarantined_lines);
+        w.field("quarantined_words", &self.quarantined_words);
+        w.field("disaggregator", &self.disaggregator);
+        w.field("next_base", &self.next_base);
         if let Some(r) = &self.remap {
-            fields.push(("remap".to_string(), r.to_value()));
+            w.field("remap", r);
         }
-        serde::Value::Object(fields)
+        w.end_object();
     }
 }
 
 impl Deserialize for GiantCacheSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(v: &serde::Value, key: &str) -> Result<T, serde::Error> {
-            T::from_value(v.get(key).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{key}` in GiantCacheSnapshot"))
-            })?)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut capacity, mut allocated, mut regions, mut data_len) = (None, None, None, None);
+        let (mut data_chunks, mut written_lines, mut written_words) = (None, None, None);
+        let (mut quarantined_lines, mut quarantined_words) = (None, None);
+        // A present `remap` key may itself hold `null`.
+        let (mut disaggregator, mut next_base, mut remap) = (None, None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "capacity" => r.field(&mut capacity)?,
+                "allocated" => r.field(&mut allocated)?,
+                "regions" => r.field(&mut regions)?,
+                "data_len" => r.field(&mut data_len)?,
+                "data_chunks" => r.field(&mut data_chunks)?,
+                "written_lines" => r.field(&mut written_lines)?,
+                "written_words" => r.field(&mut written_words)?,
+                "quarantined_lines" => r.field(&mut quarantined_lines)?,
+                "quarantined_words" => r.field(&mut quarantined_words)?,
+                "disaggregator" => r.field(&mut disaggregator)?,
+                "next_base" => r.field(&mut next_base)?,
+                "remap" => r.field(&mut remap)?,
+                _ => r.skip_value()?,
+            }
         }
+        const TY: &str = "GiantCacheSnapshot";
         Ok(GiantCacheSnapshot {
-            capacity: req(v, "capacity")?,
-            allocated: req(v, "allocated")?,
-            regions: req(v, "regions")?,
-            data_len: req(v, "data_len")?,
-            data_chunks: req(v, "data_chunks")?,
-            written_lines: req(v, "written_lines")?,
-            written_words: req(v, "written_words")?,
-            quarantined_lines: req(v, "quarantined_lines")?,
-            quarantined_words: req(v, "quarantined_words")?,
-            disaggregator: req(v, "disaggregator")?,
-            next_base: req(v, "next_base")?,
-            remap: match v.get("remap") {
-                Some(rv) => Option::<RemapSnapshot>::from_value(rv)?,
-                None => None,
-            },
+            capacity: Reader::required(capacity, "capacity", TY)?,
+            allocated: Reader::required(allocated, "allocated", TY)?,
+            regions: Reader::required(regions, "regions", TY)?,
+            data_len: Reader::required(data_len, "data_len", TY)?,
+            data_chunks: Reader::required(data_chunks, "data_chunks", TY)?,
+            written_lines: Reader::required(written_lines, "written_lines", TY)?,
+            written_words: Reader::required(written_words, "written_words", TY)?,
+            quarantined_lines: Reader::required(quarantined_lines, "quarantined_lines", TY)?,
+            quarantined_words: Reader::required(quarantined_words, "quarantined_words", TY)?,
+            disaggregator: Reader::required(disaggregator, "disaggregator", TY)?,
+            next_base: Reader::required(next_base, "next_base", TY)?,
+            remap: remap.flatten(),
         })
     }
 }

@@ -7,8 +7,9 @@
 //! fnv_fold(payload) u64 LE ‖ JSON payload
 //! ```
 //!
-//! The JSON payload is the serde value tree of a per-component snapshot
-//! struct, so the format is self-describing and diffable; the header makes
+//! The JSON payload renders a per-component snapshot struct, written and
+//! read straight by its serde impls (no intermediate tree), so the format
+//! is self-describing and diffable; the header makes
 //! restore *total*: a truncated, bit-flipped, or version-skewed blob comes
 //! back as a typed [`SnapshotError`], never a panic. Encoding is
 //! deterministic (struct fields serialize in declaration order, maps sort
@@ -79,16 +80,17 @@ pub fn snapshot_checksum(payload: &[u8]) -> u64 {
     crate::fnv_fold(crate::FNV_SEED, payload)
 }
 
-/// Serialize `value` into a framed snapshot envelope.
+/// Serialize `value` into a framed snapshot envelope. The payload streams
+/// into the same buffer right behind the header, which is filled in last.
 pub fn encode_snapshot<T: Serialize>(value: &T) -> Vec<u8> {
-    let payload =
-        serde_json::to_string(value).expect("snapshot structs serialize infallibly").into_bytes();
-    let mut out = Vec::with_capacity(SNAPSHOT_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&snapshot_checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut w = serde::Writer::new(vec![0; SNAPSHOT_HEADER_BYTES], false);
+    value.serialize(&mut w);
+    let mut out = w.into_bytes();
+    let (header, payload) = out.split_at_mut(SNAPSHOT_HEADER_BYTES);
+    header[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    header[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[20..].copy_from_slice(&snapshot_checksum(payload).to_le_bytes());
     out
 }
 
@@ -97,7 +99,10 @@ pub fn encode_snapshot<T: Serialize>(value: &T) -> Vec<u8> {
 /// Validation order: length → magic → version → declared payload length →
 /// checksum → UTF-8/JSON/shape. Arbitrary bytes therefore always produce a
 /// typed error; the checksum gate means a bit flip anywhere in the payload
-/// is caught before the JSON parser ever sees it.
+/// is caught before the JSON reader ever sees it. The reader streams
+/// straight into `T` and refuses nesting deeper than [`serde::MAX_DEPTH`],
+/// so even a checksum-valid hostile payload is a `Corrupt`, never a stack
+/// overflow.
 pub fn decode_snapshot<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
     if bytes.len() < SNAPSHOT_HEADER_BYTES {
         return Err(SnapshotError::Truncated {
@@ -190,6 +195,40 @@ mod tests {
                 decode_snapshot::<Demo>(&bytes).unwrap_err(),
                 SnapshotError::ChecksumMismatch { .. }
             ));
+        }
+    }
+
+    /// Wrap `payload` in a header with a matching checksum, so decoding
+    /// gets past every framing check to the JSON reader.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&snapshot_checksum(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn deep_nesting_is_corrupt_not_stack_overflow() {
+        // 100,000 unclosed brackets behind a valid checksum, as the whole
+        // payload and under an unknown key the reader has to skip.
+        let deep = vec![b'['; 100_000];
+        for payload in [deep.clone(), [&br#"{"extra":"#[..], &deep].concat()] {
+            let err = decode_snapshot::<Demo>(&framed(&payload)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+        }
+        // Well-formed nesting under an unknown key: `levels` containers
+        // inside Demo's own object reach depth `levels + 1`.
+        for (open, close) in [(&b"["[..], &b"]"[..]), (br#"{"k":"#, b"}")] {
+            let extra = |levels: usize| {
+                let nest = [open.repeat(levels), b"0".to_vec(), close.repeat(levels)].concat();
+                let head = br#"{"label":"x","counters":[],"flag":false,"extra":"#;
+                decode_snapshot::<Demo>(&framed(&[&head[..], &nest, b"}"].concat()))
+            };
+            let want = Demo { label: "x".into(), counters: vec![], flag: false };
+            assert_eq!(extra(serde::MAX_DEPTH - 1), Ok(want));
+            assert!(matches!(extra(serde::MAX_DEPTH), Err(SnapshotError::Corrupt(_))));
         }
     }
 

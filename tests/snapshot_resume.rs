@@ -10,16 +10,19 @@
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use teco::core::{
-    run_resumed, run_uninterrupted, KillPoint, ResumeWorkload, StepBoundary, TecoTrainer,
+    run_resumed, run_uninterrupted, ClusterConfig, KillPoint, PlacementPolicy, ResumeWorkload,
+    SessionSnapshot, StepBoundary, TecoConfig, TecoSession, TecoTrainer, TieredPolicy,
 };
-use teco::cxl::{FaultConfig, ProtocolMode};
+use teco::cxl::{FaultConfig, HostLinkArbiter, HostLinkArbiterSnapshot, ProtocolMode, RasConfig};
 use teco::dl::data::MarkovTextGen;
 use teco::dl::{
     capture_params, restore_params, AdamConfig, OffloadedAdam, TinyGpt, TinyGptConfig, Visitable,
 };
+use teco::mem::{Addr, LineData};
 use teco::sim::{
-    decode_snapshot, encode_snapshot, Engine, EngineState, Model, Scheduler, SchedulerState,
-    SimRng, SimTime, SnapshotError,
+    decode_snapshot, encode_snapshot, snapshot_checksum, Bandwidth, Engine, EngineState, Model,
+    Scheduler, SchedulerState, SimRng, SimTime, SnapshotError, SNAPSHOT_HEADER_BYTES,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
 /// A model that just records every delivery, in order.
@@ -164,6 +167,170 @@ fn faulty_invalidation_workload(seed: u64) -> ResumeWorkload {
     let mut w = faulty_workload(seed);
     w.cfg = w.cfg.with_protocol(ProtocolMode::Invalidation);
     w
+}
+
+fn random_line(rng: &mut SimRng) -> LineData {
+    let mut l = LineData::zeroed();
+    (0..16).for_each(|w| l.set_word(w, rng.next_u64() as u32));
+    l
+}
+
+/// Drive a session under `cfg` for a few steps — gradients, then
+/// parameters and an optimizer moment (which the tiered policy places in
+/// host DRAM) — and capture it.
+fn driven_session(cfg: TecoConfig, seed: u64) -> SessionSnapshot {
+    let cfg = cfg.with_act_aft_steps(2).with_giant_cache_bytes(1 << 20);
+    let mut s = TecoSession::new(cfg).expect("config validates");
+    let [params, grads, moment] = ["params", "grads", "moment_m"]
+        .map(|name| s.alloc_tensor(name, 64 * 64).expect("tensor fits").1);
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut now = SimTime::ZERO;
+    for step in 0..6 {
+        let lines: Vec<LineData> = (0..64).map(|_| random_line(&mut rng)).collect();
+        for (i, &line) in lines.iter().enumerate() {
+            s.push_grad_line(Addr(grads.0 + 64 * i as u64), line, now).expect("grad push");
+        }
+        now = s.cxlfence_grads(now);
+        s.check_activation(step);
+        for base in [params, moment] {
+            s.push_param_lines(base, &lines, now).expect("param push");
+        }
+        now = s.cxlfence_params(now);
+    }
+    s.snapshot()
+}
+
+/// Link faults, tiered placement, the audit shadow, and media RAS with
+/// spares: every optional section of a session snapshot present.
+fn everything_on() -> TecoConfig {
+    faulty_workload(0)
+        .cfg
+        .with_placement(PlacementPolicy::Tiered(TieredPolicy::default()))
+        .with_audit(true)
+        .with_ras(RasConfig {
+            media_faults_per_tick: 0.5,
+            scrub_lines_per_tick: 8,
+            spare_lines: 64,
+            seed: 11,
+        })
+}
+
+/// `encode(decode(encode(x))) == encode(x)`, whichever optional fields
+/// `x` omits or writes.
+fn assert_reencodes<T: Serialize + Deserialize>(x: &T, what: &str) {
+    let bytes = encode_snapshot(x);
+    let back: T = decode_snapshot(&bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(encode_snapshot(&back) == bytes, "{what}: re-encoding changed the bytes");
+}
+
+/// Every omit-when-default field of the hand-written snapshot impls, in
+/// both states, survives a decode/re-encode byte for byte.
+#[test]
+fn snapshots_reencode_byte_identically() {
+    let cases = [
+        ("plain", TecoConfig::default()),
+        ("link faults", faulty_workload(0).cfg),
+        (
+            "tiered",
+            TecoConfig::default().with_placement(PlacementPolicy::Tiered(Default::default())),
+        ),
+        ("audit", TecoConfig::default().with_audit(true)),
+        ("everything on", everything_on()),
+    ];
+    for (what, cfg) in cases {
+        assert_reencodes(&driven_session(cfg, 3), what);
+    }
+    let all = driven_session(everything_on(), 3);
+    assert!(all.shadow.is_some() && all.media.is_some() && all.placement.is_some());
+    assert!(all.giant_cache.remap.is_some() && !all.cfg.ras.is_off());
+    let store = &all.placement.as_ref().expect("tiered").store;
+    assert!(!store.is_empty(), "the moment lives in host DRAM");
+
+    let cluster = ClusterConfig::new(TecoConfig::default(), 2);
+    assert_reencodes(&cluster, "cluster config");
+    assert_reencodes(&cluster.with_watchdog_deadline_ns(5_000), "cluster watchdog");
+    let arbiter = HostLinkArbiter::new(Bandwidth::from_gb_per_sec(32.0), 3).snapshot();
+    assert_reencodes(&arbiter, "arbiter");
+    let busy = HostLinkArbiterSnapshot {
+        quarantined: vec![false, true, false],
+        quarantine_events: 1,
+        fanin_grants: 2,
+        fanin_bytes: 4096,
+        fanin_saved_bytes: 2048,
+        fanin_deliveries: 6,
+        ..arbiter
+    };
+    assert_reencodes(&busy, "quarantine and fan-in");
+}
+
+/// Frame `payload` with a header whose checksum matches, so decoding
+/// reaches the JSON reader.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = SNAPSHOT_MAGIC.to_vec();
+    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&snapshot_checksum(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// The checksum gate stops every corruption before the JSON reader, so
+/// this drives the reader directly: byte flips, truncations inside the
+/// JSON, and spliced fragments of a real session payload, each re-framed
+/// with a valid header. Every one decodes or is `Corrupt`; none panics.
+#[test]
+fn mutated_payloads_behind_a_valid_checksum_fail_typed() {
+    const FRAGMENTS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        ":",
+        "\"",
+        "null",
+        "true",
+        "-",
+        "1.5e3",
+        "1e999",
+        "-0",
+        "18446744073709551616",
+        "-9223372036854775809",
+        "\"\\u12",
+        "\"\\ud800\"",
+        "\"\\q\"",
+        "{\"k\":[[[[[[[[",
+        "]]]]}}}}",
+        "\"Unknown\"",
+        "{\"Tiered\":1}",
+    ];
+    let clean = encode_snapshot(&driven_session(everything_on(), 5));
+    let payload = &clean[SNAPSHOT_HEADER_BYTES..];
+    assert!(decode_snapshot::<SessionSnapshot>(&framed(payload)).is_ok());
+    let mut rng = SimRng::seed_from_u64(0xF022);
+    let mut corrupt = 0;
+    for case in 0..48 {
+        let mut p = payload.to_vec();
+        let at = rng.next_u64() as usize % p.len();
+        match case % 3 {
+            0 => p[at] ^= 1 << (rng.next_u64() % 8),
+            1 => p.truncate(at),
+            _ => {
+                let fragment = FRAGMENTS[rng.next_u64() as usize % FRAGMENTS.len()];
+                let end = (at + rng.next_u64() as usize % 4).min(p.len());
+                p.splice(at..end, fragment.bytes());
+            }
+        }
+        match decode_snapshot::<SessionSnapshot>(&framed(&p)) {
+            Ok(_) => {}
+            Err(SnapshotError::Corrupt(msg)) => {
+                assert!(!msg.is_empty());
+                corrupt += 1;
+            }
+            Err(e) => panic!("case {case}: a re-framed payload failed framing: {e:?}"),
+        }
+    }
+    assert!(corrupt >= 16, "every truncation is corrupt; got {corrupt}");
 }
 
 /// Kill+resume equivalence through the umbrella crate: the resumed run's
