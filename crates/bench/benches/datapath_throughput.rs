@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the link-saturating datapath: the chunked
 //! u64 pack/merge kernels against their byte-at-a-time scalar oracles
-//! (same run, same machine — the ≥2× gate in `perf_smoke` reads these).
+//! (same run, same machine — the ≥2× gate in `teco-bench perf-smoke`
+//! reads these).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use teco_cxl::dba::{kernels, scalar};
@@ -80,7 +81,7 @@ fn bench_merge_pairs(c: &mut Criterion) {
 /// The checksummed aggregate path — chunked pack with the chunk-wise
 /// deferred-fold Fletcher-16 fused in — against the pre-fusion reference:
 /// scalar pack followed by the per-byte Fletcher second pass. This is the
-/// pair the tentpole's checksum fusion replaced, and the one `perf_smoke`
+/// pair the checksum fusion replaced, and the one `teco-bench perf-smoke`
 /// holds to the ≥2× same-run bound.
 fn bench_checksummed_pairs(c: &mut Criterion) {
     let data = lines(RUN_LINES);

@@ -2,9 +2,9 @@
 //!
 //! The fault, snoop, and resume sections run their own small fixed-seed
 //! workloads. The six sweep sections are functions of their sweep's rows
-//! ([`crate::sweeps`]): `generate_report` passes them `sweeps::*_rows()`,
-//! and each sweep binary prints its section from the rows it writes to
-//! JSON, so a binary's stdout is the table REPORT.md shows. The golden-file
+//! ([`crate::sweeps`]): each sweep's registry entry prints its section
+//! from the rows it writes to JSON and returns it for REPORT.md, so its
+//! stdout is the table REPORT.md shows. The golden-file
 //! tests (`tests/report_golden.rs`) render every section against its
 //! checked-in fixture byte-for-byte. Every section is deterministic: fixed
 //! seeds, fixed workloads, no wall-clock or environment inputs.

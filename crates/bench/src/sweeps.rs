@@ -1,11 +1,11 @@
-//! Sweep-row computation shared between the bench binaries, the report,
-//! and the test suite.
+//! Sweep-row computation shared between the experiment registry, the
+//! report, and the test suite.
 //!
-//! Each sweep is a grid of independent cells and one row type: the sweep
-//! binary writes its rows to `bench_results/<bin>.json`, and
-//! [`crate::report`] renders the same rows as the binary's stdout and as
-//! its REPORT.md section. The fault, scaling, and collective sweeps also
-//! take an explicit worker count, so the determinism matrix
+//! Each sweep is a grid of independent cells and one row type: the
+//! sweep's registry entry writes its rows to `bench_results/<name>.json`,
+//! and [`crate::report`] renders the same rows as the entry's stdout and
+//! as its REPORT.md section. The fault and scaling sweeps also take an
+//! explicit worker count, so the determinism matrix
 //! (`tests/determinism.rs`) can run the *same* row computation under both
 //! serial and parallel [`teco_offload::sweep_with_workers`] execution and
 //! require byte-identical JSON. Every cell is computed independently —
@@ -356,8 +356,8 @@ pub fn datapath_grid() -> Vec<DatapathCell> {
 }
 
 /// One row of `bench_results/datapath_sweep.json`: a session's end state
-/// after the fixed workload. Seeded throughout, so the CI sweep-smoke
-/// job can diff two runs byte for byte.
+/// after the fixed workload. Seeded throughout, so two runs diff byte
+/// for byte.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatapathRow {
     /// Fault model on?
@@ -840,17 +840,12 @@ pub struct CollectiveSweep {
     pub collective: Vec<CollectiveRow>,
 }
 
-/// The full collective sweep at an explicit worker count.
-pub fn collective_sweep_with_workers(workers: usize) -> CollectiveSweep {
-    let fabric = sweep_with_workers(&FABRIC_HOSTS, workers, |_, &hosts| fabric_row(hosts));
-    let grid = collective_grid();
-    let collective = sweep_with_workers(&grid, workers, |_, cell| collective_row(cell));
-    CollectiveSweep { fabric, collective }
-}
-
 /// The full collective sweep across all cores.
 pub fn collective_sweep() -> CollectiveSweep {
-    collective_sweep_with_workers(teco_dl::num_cores())
+    let fabric = sweep(&FABRIC_HOSTS, |_, &hosts| fabric_row(hosts));
+    let grid = collective_grid();
+    let collective = sweep(&grid, |_, cell| collective_row(cell));
+    CollectiveSweep { fabric, collective }
 }
 
 /// The sweep's acceptance gate: every comparison cell must beat the ring
@@ -1201,7 +1196,7 @@ pub struct PlacementRow {
     /// Link bytes device→CPU (gradient direction).
     pub bytes_to_host: u64,
     /// FNV-1a 64 over the serialized session snapshot — the byte-identity
-    /// witness the CI sweep-smoke job diffs run-to-run.
+    /// witness two runs are diffed on.
     pub snapshot_digest: String,
 }
 
@@ -1427,7 +1422,7 @@ mod tests {
         assert_eq!(grid.len(), 12);
         assert_eq!(grid[0], ChaosCell { hosts: 2, kill: ChaosKill::None, media_rate: 0.0 });
         // One kill cell end to end — the full grid runs in the
-        // fabric_chaos_sweep binary and the CI sweep-smoke job.
+        // fabric_chaos_sweep registry entry.
         let row =
             chaos_row(&ChaosCell { hosts: 2, kill: ChaosKill::ReduceScatter, media_rate: 1.0 });
         assert_eq!(row.detections, 1);
@@ -1445,7 +1440,7 @@ mod tests {
         assert_eq!(grid.len(), 10);
         assert_eq!(grid[0], PlacementCell { model: "GPT-2".into(), tiered: false });
         // One model's (single-tier, tiered) pair end to end — the full grid
-        // runs in the placement_sweep binary and the CI sweep-smoke job.
+        // runs in the placement_sweep registry entry.
         let single = placement_row(&grid[0]);
         let tiered = placement_row(&grid[1]);
         assert_eq!(single.device_bytes, 0);
@@ -1454,6 +1449,18 @@ mod tests {
         assert!(tiered.device_bytes > 0, "small grads must pin device-resident: {tiered:?}");
         assert_ne!(single.snapshot_digest, tiered.snapshot_digest);
         assert_eq!(placement_divergences(&[single, tiered]), Vec::<String>::new());
+    }
+
+    #[test]
+    fn default_tiered_policy_is_no_slower_than_single_tier_on_gpt2() {
+        // Spilling write-mostly optimizer moments to plain host DRAM rides
+        // the faster pool link; it must never cost step time.
+        let spec = ModelSpec::gpt2();
+        let (_, single) = run_placement_workload(&spec, TecoConfig::default());
+        let tiered_cfg =
+            TecoConfig::default().with_placement(PlacementPolicy::Tiered(TieredPolicy::default()));
+        let (_, tiered) = run_placement_workload(&spec, tiered_cfg);
+        assert!(tiered <= single, "tiered default {tiered:?} slower than single-tier {single:?}");
     }
 
     #[test]

@@ -744,7 +744,6 @@ impl ClusterSession {
     pub fn from_snapshot(s: &ClusterSnapshot) -> Result<Self, SessionError> {
         s.cfg.validate().map_err(SessionError::Config)?;
         let n = s.cfg.devices;
-        let a = &s.arbiter;
         let per_device = [
             ("devices", s.devices.len()),
             ("now_ps", s.now_ps.len()),
@@ -752,10 +751,7 @@ impl ClusterSession {
             ("bcast_seen", s.bcast_seen.len()),
             ("alive", s.alive.len()),
             ("detected_down", s.detected_down.len()),
-            ("arbiter.n", a.n as usize),
-            ("arbiter.accounts", a.accounts.len()),
-            // Empty means all-clear (see `HostLinkArbiter::restore`).
-            ("arbiter.quarantined", if a.quarantined.is_empty() { n } else { a.quarantined.len() }),
+            ("arbiter.n", s.arbiter.n as usize),
         ];
         if let Some((name, len)) = per_device.into_iter().find(|&(_, len)| len != n) {
             return Err(SessionError::Config(format!(
@@ -768,7 +764,7 @@ impl ClusterSession {
             cfg: s.cfg.clone(),
             devices,
             now: s.now_ps.iter().map(|&ps| SimTime::from_ps(ps)).collect(),
-            arbiter: HostLinkArbiter::restore(&s.arbiter),
+            arbiter: HostLinkArbiter::restore(&s.arbiter).map_err(SessionError::Config)?,
             pool: CpuPool::restore(&s.pool),
             step: s.step,
             param_base: Addr(s.param_base),

@@ -418,29 +418,37 @@ impl PlacementEngine {
     }
 
     /// Rebuild an engine from a snapshot; every subsequent placement,
-    /// plan, and pool grant reproduces the original bit-for-bit.
-    pub fn from_snapshot(s: &PlacementEngineSnapshot) -> Self {
+    /// plan, and pool grant reproduces the original bit-for-bit. A store
+    /// line that is not one cache line long, or an arbiter image
+    /// [`HostLinkArbiter::restore`] rejects, is an error.
+    pub fn from_snapshot(s: &PlacementEngineSnapshot) -> Result<Self, String> {
         let store = s
             .store
             .iter()
             .map(|(a, bytes)| {
+                if bytes.len() != LINE_BYTES {
+                    return Err(format!(
+                        "placement store line {a:#x} has {} bytes, not {LINE_BYTES}",
+                        bytes.len()
+                    ));
+                }
                 let mut l = LineData::zeroed();
                 l.bytes_mut().copy_from_slice(bytes);
-                (*a, l)
+                Ok((*a, l))
             })
-            .collect();
-        PlacementEngine {
+            .collect::<Result<_, _>>()?;
+        Ok(PlacementEngine {
             policy: s.policy.clone(),
             map: s.map.clone(),
             heat: s.heat.clone(),
             planner: s.planner.clone(),
-            arbiter: HostLinkArbiter::restore(&s.arbiter),
+            arbiter: HostLinkArbiter::restore(&s.arbiter)?,
             spans: s.spans.clone(),
             next_side: s.next_side,
             store,
             clock: s.clock,
             stats: s.stats,
-        }
+        })
     }
 }
 
@@ -579,7 +587,7 @@ mod tests {
         }
         a.step_boundary(0);
         let json = serde_json::to_string(&a.snapshot()).unwrap();
-        let mut b = PlacementEngine::from_snapshot(&serde_json::from_str(&json).unwrap());
+        let mut b = PlacementEngine::from_snapshot(&serde_json::from_str(&json).unwrap()).unwrap();
         assert_eq!(b.read_line(base).unwrap(), l);
         for step in 1..6 {
             let pa = a.step_boundary(step);
@@ -591,6 +599,18 @@ mod tests {
             serde_json::to_string(&a.snapshot()).unwrap(),
             serde_json::to_string(&b.snapshot()).unwrap()
         );
+    }
+
+    #[test]
+    fn from_snapshot_rejects_a_store_line_that_is_not_one_line_long() {
+        let mut e = PlacementEngine::new(TieredPolicy::default(), 1 << 20);
+        let (hm, _) = e.place("moment_m", 4096).unwrap();
+        let base = e.bind_side(hm);
+        e.write_lines(base, &[LineData::zeroed()]).unwrap();
+        let mut s = e.snapshot();
+        s.store[0].1.pop();
+        let err = PlacementEngine::from_snapshot(&s).unwrap_err();
+        assert!(err.contains("has 63 bytes, not 64"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! envelope ([`teco_sim::snapshot`]), *drops every piece of live state*,
 //! then restores from nothing but the serialized bytes and runs the
 //! remainder. The contract — enforced by `tests/snapshot_resume.rs` and
-//! the CI `sweep-smoke` job — is that the resumed run's report serializes
+//! the `soak_resume` experiment's gate — is that the resumed run's report serializes
 //! to JSON **byte-identical** to an uninterrupted run of the same
 //! workload, including with nonzero fault rates where the kill lands
 //! between two retries of the link's replay schedule.

@@ -942,7 +942,12 @@ impl TecoSession {
             shadow,
             media: s.media.as_ref().map(MediaRas::from_snapshot),
             scrub_buf: Vec::new(),
-            placement: s.placement.as_ref().map(PlacementEngine::from_snapshot),
+            placement: s
+                .placement
+                .as_ref()
+                .map(PlacementEngine::from_snapshot)
+                .transpose()
+                .map_err(SessionError::Config)?,
         })
     }
 }
@@ -1627,6 +1632,28 @@ mod tests {
             serde_json::to_string(&b.snapshot()).unwrap(),
             "resumed tiered run is byte-identical"
         );
+    }
+
+    /// A tiered session's snapshot with one line in the placement store.
+    fn tiered_snapshot() -> SessionSnapshot {
+        let mut s = TecoSession::new(tiered_cfg()).unwrap();
+        let (_, mbase) = s.alloc_tensor("moment_m", 8192).unwrap();
+        s.push_param_line(mbase, line_with(5), SimTime::ZERO).unwrap();
+        s.snapshot()
+    }
+
+    #[test]
+    fn from_snapshot_rejects_a_placement_arbiter_without_devices() {
+        let mut snap = tiered_snapshot();
+        snap.placement.as_mut().unwrap().arbiter.n = 0;
+        assert!(matches!(TecoSession::from_snapshot(&snap), Err(SessionError::Config(_))));
+    }
+
+    #[test]
+    fn from_snapshot_rejects_a_short_placement_store_line() {
+        let mut snap = tiered_snapshot();
+        snap.placement.as_mut().unwrap().store[0].1.truncate(63);
+        assert!(matches!(TecoSession::from_snapshot(&snap), Err(SessionError::Config(_))));
     }
 
     #[test]

@@ -305,18 +305,30 @@ impl HostLinkArbiter {
     }
 
     /// Rebuild an arbiter from a snapshot; subsequent rounds grant
-    /// identically to the original.
-    pub fn restore(s: &HostLinkArbiterSnapshot) -> Self {
-        assert!(s.n > 0, "arbiter needs at least one device");
-        let quarantined = if s.quarantined.is_empty() {
-            vec![false; s.n as usize]
-        } else {
-            assert_eq!(s.quarantined.len(), s.n as usize, "one quarantine flag per device");
-            s.quarantined.clone()
+    /// identically to the original. A snapshot with no devices, or with an
+    /// account or quarantine list (an empty list means all-clear) whose
+    /// length is not the device count, is an error.
+    pub fn restore(s: &HostLinkArbiterSnapshot) -> Result<Self, String> {
+        let n = s.n as usize;
+        if n == 0 {
+            return Err("arbiter snapshot has no devices".into());
+        }
+        if s.accounts.len() != n {
+            return Err(format!(
+                "arbiter snapshot has {} accounts for {n} devices",
+                s.accounts.len()
+            ));
+        }
+        let quarantined = match s.quarantined.len() {
+            0 => vec![false; n],
+            len if len == n => s.quarantined.clone(),
+            len => {
+                return Err(format!("arbiter snapshot has {len} quarantine flags for {n} devices"))
+            }
         };
-        HostLinkArbiter {
+        Ok(HostLinkArbiter {
             bw: s.bw,
-            n: s.n as usize,
+            n,
             next_free: s.next_free,
             rr: s.rr as usize,
             accounts: s.accounts.clone(),
@@ -331,7 +343,7 @@ impl HostLinkArbiter {
             fanin_bytes: s.fanin_bytes,
             fanin_saved_bytes: s.fanin_saved_bytes,
             fanin_deliveries: s.fanin_deliveries,
-        }
+        })
     }
 }
 
@@ -545,7 +557,7 @@ mod tests {
         a.arbitrate_round(&[SimTime::ZERO; 3], &[64, 128, 64]);
         a.charge_broadcast(a.drained_at(), 256, 3);
         let snap = a.snapshot();
-        let mut b = HostLinkArbiter::restore(&snap);
+        let mut b = HostLinkArbiter::restore(&snap).unwrap();
         let t = a.drained_at();
         let ea = a.arbitrate_round(&[t, t, t], &[32, 32, 32]);
         let eb = b.arbitrate_round(&[t, t, t], &[32, 32, 32]);
@@ -575,7 +587,7 @@ mod tests {
         assert_eq!(a.accounts()[1].grants, 1);
         // Quarantine state survives a snapshot roundtrip.
         a.quarantine_device(2);
-        let b = HostLinkArbiter::restore(&a.snapshot());
+        let b = HostLinkArbiter::restore(&a.snapshot()).unwrap();
         assert!(b.is_quarantined(2) && !b.is_quarantined(1));
         assert_eq!(b.quarantine_events(), 2);
     }
@@ -598,7 +610,7 @@ mod tests {
         assert!(json.contains("fanin_grants"), "grants>0 must keep the fan-in fields");
         let back: HostLinkArbiterSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-        let b = HostLinkArbiter::restore(&back);
+        let b = HostLinkArbiter::restore(&back).unwrap();
         assert_eq!(b.fanin_saved_bytes(), 0);
         assert_eq!(b.fanin_grants(), 2);
         assert_eq!(b.snapshot(), snap);
@@ -636,7 +648,7 @@ mod tests {
         // one host's account.
         assert!(a.accounts().iter().all(|acct| acct.bytes == 0));
         // Fan-in state survives a snapshot roundtrip.
-        let b = HostLinkArbiter::restore(&a.snapshot());
+        let b = HostLinkArbiter::restore(&a.snapshot()).unwrap();
         assert_eq!(b.fanin_saved_bytes(), 256);
         assert_eq!(b.fanin_deliveries(), 3);
     }
@@ -654,6 +666,27 @@ mod tests {
         assert!(json.contains("fanin_saved_bytes"));
         let back: HostLinkArbiterSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, a.snapshot());
+    }
+
+    #[test]
+    fn restore_rejects_a_snapshot_without_devices() {
+        let mut s = arb(2).snapshot();
+        s.n = 0;
+        assert!(HostLinkArbiter::restore(&s).unwrap_err().contains("no devices"));
+    }
+
+    #[test]
+    fn restore_rejects_an_account_count_that_is_not_the_device_count() {
+        let mut s = arb(3).snapshot();
+        s.accounts.pop();
+        assert!(HostLinkArbiter::restore(&s).unwrap_err().contains("2 accounts for 3 devices"));
+    }
+
+    #[test]
+    fn restore_rejects_a_quarantine_list_of_the_wrong_length() {
+        let mut s = arb(3).snapshot();
+        s.quarantined = vec![false; 2];
+        assert!(HostLinkArbiter::restore(&s).unwrap_err().contains("2 quarantine flags"));
     }
 
     #[test]

@@ -529,10 +529,18 @@ impl PoolCollective {
     }
 
     /// Rebuild an engine from a snapshot; subsequent operations time and
-    /// account identically to the original.
+    /// account identically to the original. A media arbiter that does not
+    /// serve exactly `cfg.hosts` hosts is a `Config` error.
     pub fn restore(s: &PoolCollectiveSnapshot) -> Result<Self, CollectiveError> {
         s.cfg.validate()?;
-        Ok(PoolCollective { cfg: s.cfg, media: HostLinkArbiter::restore(&s.media), stats: s.stats })
+        if s.media.n != s.cfg.hosts as u64 {
+            return Err(CollectiveError::Config(format!(
+                "snapshot's media arbiter serves {} hosts, not {}",
+                s.media.n, s.cfg.hosts
+            )));
+        }
+        let media = HostLinkArbiter::restore(&s.media).map_err(CollectiveError::Config)?;
+        Ok(PoolCollective { cfg: s.cfg, media, stats: s.stats })
     }
 }
 
@@ -1691,6 +1699,22 @@ mod tests {
         let b = restored.all_reduce(&mut b2, &later).unwrap();
         assert_eq!(a, b);
         assert_eq!(orig.snapshot(), restored.snapshot());
+    }
+
+    #[test]
+    fn restore_rejects_a_malformed_media_arbiter_as_config() {
+        let mut snap = PoolCollective::new(CollectiveConfig::for_hosts(2)).unwrap().snapshot();
+        snap.media.quarantined = vec![false];
+        assert!(matches!(PoolCollective::restore(&snap), Err(CollectiveError::Config(_))));
+    }
+
+    #[test]
+    fn restore_rejects_a_media_arbiter_for_another_host_count() {
+        // Accepted, it would panic in the next all-reduce, whose media
+        // rounds have one slot per configured host.
+        let mut snap = PoolCollective::new(CollectiveConfig::for_hosts(2)).unwrap().snapshot();
+        snap.media = PoolCollective::new(CollectiveConfig::for_hosts(3)).unwrap().snapshot().media;
+        assert!(matches!(PoolCollective::restore(&snap), Err(CollectiveError::Config(_))));
     }
 
     #[test]

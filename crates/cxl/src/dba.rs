@@ -600,8 +600,8 @@ pub mod kernels {
 }
 
 /// The pre-vectorization scalar kernels, kept **verbatim** as the oracle
-/// the proptest equivalence suite (and the same-run perf_smoke speedup
-/// gate) measures [`kernels`] against — the same pattern [`crate::refmaps`]
+/// the proptest equivalence suite (and the same-run `teco-bench
+/// perf-smoke` speedup gate) measures [`kernels`] against — the same pattern [`crate::refmaps`]
 /// uses for the arena rewrites. Nothing in the product path calls these.
 pub mod scalar {
     use teco_mem::line::{LineData, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};

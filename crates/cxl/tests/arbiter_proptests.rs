@@ -92,7 +92,7 @@ proptest! {
         let json = serde_json::to_string(&head.snapshot()).unwrap();
         drop(head);
         let snap: HostLinkArbiterSnapshot = serde_json::from_str(&json).unwrap();
-        let mut tail = HostLinkArbiter::restore(&snap);
+        let mut tail = HostLinkArbiter::restore(&snap).unwrap();
         for (i, op) in ops[cut..].iter().enumerate() {
             apply(&mut tail, n, cut + i, op);
         }

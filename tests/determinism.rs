@@ -94,9 +94,11 @@ fn timing_experiments_are_reproducible() {
 
 /// The sweep matrix behind `bench_results/*.json`: run-to-run JSON must be
 /// byte-identical, and the worker count must never leak into the output —
-/// serial (workers = 1) and parallel (the core count `cargo bench` and CI
-/// would use) executions of the same grid must serialize identically.
-/// This is the property that lets the CI smoke jobs `cmp` two runs.
+/// serial (workers = 1) and parallel executions of the same grid must
+/// serialize identically. The collective sweep is too slow for this in a
+/// debug build: its run-to-run output is pinned by `report_golden`'s
+/// collective fixture, and CI's experiments job diffs its full JSON, like
+/// every experiment's, between an all-core and a one-core release run.
 #[test]
 fn sweep_json_is_byte_identical_across_runs_and_worker_counts() {
     let parallel = teco::dl::num_cores().max(2);
@@ -114,13 +116,6 @@ fn sweep_json_is_byte_identical_across_runs_and_worker_counts() {
     let scaling_serial = scaling(1);
     assert_eq!(scaling_serial, scaling(1), "scaling sweep diverged run to run");
     assert_eq!(scaling_serial, scaling(parallel), "scaling sweep leaked its worker count");
-
-    let collective = |workers| {
-        serde_json::to_string(&teco_bench::sweeps::collective_sweep_with_workers(workers)).unwrap()
-    };
-    let collective_serial = collective(1);
-    assert_eq!(collective_serial, collective(1), "collective sweep diverged run to run");
-    assert_eq!(collective_serial, collective(parallel), "collective sweep leaked its worker count");
 }
 
 #[test]
