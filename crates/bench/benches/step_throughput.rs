@@ -1,12 +1,11 @@
 //! End-to-end training-step throughput: the session's full parameter path
-//! (aggregate → coherence accounting → link → device merge → fence) in
-//! steady state, lines/second. This is the macro-benchmark the per-line
-//! arena work must move: every line costs coherence-state, giant-cache and
-//! checksum bookkeeping.
+//! (aggregate → coherence accounting → link → device merge → fence) and
+//! its gradient path (one call per line → coherence accounting → link →
+//! fence) in steady state, lines/second.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use teco_core::{TecoConfig, TecoSession};
-use teco_mem::LineData;
+use teco_mem::{Addr, LineData};
 use teco_sim::SimTime;
 
 const LINES: usize = 4096;
@@ -54,6 +53,24 @@ fn bench_step(c: &mut Criterion) {
         b.iter(|| {
             s.push_param_lines(base, black_box(&update), now).unwrap();
             now = s.cxlfence_params(now);
+            now
+        });
+    });
+
+    // Gradients, one `push_grad_line` call per line as a training loop's
+    // backward hook issues them, then the gradient fence.
+    g.bench_function("push_grads", |b| {
+        let mut s =
+            TecoSession::new(TecoConfig::default().with_giant_cache_bytes(1 << 20)).unwrap();
+        let (_, base) = s.alloc_tensor("grads", (LINES * 64) as u64).unwrap();
+        let grads = lines_with(0x7000);
+        let mut now = SimTime::ZERO;
+        b.iter(|| {
+            for (i, line) in grads.iter().enumerate() {
+                let at = Addr(base.0 + (i * 64) as u64);
+                s.push_grad_line(at, *black_box(line), now).unwrap();
+            }
+            now = s.cxlfence_grads(now);
             now
         });
     });

@@ -3,11 +3,12 @@
 //! Compares the Criterion medians of the current run
 //! (`bench_results/criterion_medians.json`, written by `cargo bench`)
 //! against the committed baseline (`bench_results/BENCH.json`: the arena
-//! rewrites, the datapath kernels and the snapshot codec) and fails on
-//! a >25 % regression of any tracked key. It also re-checks the speedup
-//! claims *within the current run* — fast path vs the retained reference
-//! measured on the same machine moments apart — so the ≥2× bounds never
-//! depend on cross-machine comparisons. Finally it holds the bulk
+//! rewrites, the session's parameter and gradient paths, the link run,
+//! the datapath kernels and the snapshot codec) and fails on a >25 %
+//! regression of any tracked key. It also re-checks the speedup claims
+//! *within the current run* — fast path vs the retained reference
+//! measured on the same machine moments apart — so the speedup bounds
+//! never depend on cross-machine comparisons. Finally it holds the bulk
 //! aggregator to the modeled link bandwidth: the wire feeding a
 //! PCIe-3.0×16-class CXL link is ~15 GB/s, and a datapath that can't
 //! outrun the link it feeds is the bottleneck the fused kernels exist to
@@ -27,6 +28,8 @@ const TRACKED: &[&str] = &[
     "giant_cache_merge/dense_bulk_dba",
     "step_throughput/push_fence_dba",
     "step_throughput/push_fence_full",
+    "step_throughput/push_grads",
+    "link/transfer_run",
     "aggregator_bulk/dirty_bytes_2",
     "disaggregator_bulk/merge_dirty2",
     "datapath/checksummed_kernel_2",
@@ -45,6 +48,8 @@ const SPEEDUPS: &[(&str, &str, f64)] = &[
     // headroom ~6× and ~5×).
     ("datapath/checksummed_kernel_2", "datapath/checksummed_scalar_2", 2.0),
     ("datapath/checksummed_kernel_3", "datapath/checksummed_scalar_3", 2.0),
+    // A closed-form link run vs the same lines one `transfer` at a time.
+    ("link/transfer_run", "link/transfer_single", 10.0),
 ];
 
 /// (key, bytes processed per iteration, minimum GB/s) asserted on the

@@ -41,11 +41,12 @@ use crate::resume::{
 };
 use crate::session::{SessionError, SessionSnapshot, TecoSession};
 use serde::{Deserialize, Reader, Serialize, Writer};
+use teco_cxl::dba::kernels::reduce_sum_run;
 use teco_cxl::{
     FenceDeadline, HostAccount, HostLinkArbiter, HostLinkArbiterSnapshot, MediaRas,
     MediaRasSnapshot, RasStats,
 };
-use teco_mem::{Addr, LineData, LINE_BYTES};
+use teco_mem::{lines_as_bytes, lines_as_bytes_mut, Addr, LineData, LINE_BYTES};
 use teco_sim::{fnv_fold, Bandwidth, SimRng, SimTime, FNV_SEED};
 
 /// Configuration for an N-accelerator cluster.
@@ -173,13 +174,15 @@ impl CpuPool {
         CpuPool { params: Vec::new(), grads: Vec::new(), reduced_lines: 0, updates: 0 }
     }
 
-    /// Reduce one gradient line into the accumulator (per-word wrapping
-    /// add — the integer stand-in for the optimizer's sum-reduce), through
-    /// the same chunked kernel the inter-host collectives fold with
-    /// (bit-identical to the original word-at-a-time loop).
-    fn reduce(&mut self, i: usize, line: &LineData) {
-        teco_cxl::dba::kernels::reduce_sum_run(line.bytes(), self.grads[i].bytes_mut());
-        self.reduced_lines += 1;
+    /// Reduce a run of gradient lines into the accumulator from line
+    /// `first` on (per-word wrapping add — the integer stand-in for the
+    /// optimizer's sum-reduce), in one pass of the chunked kernel the
+    /// inter-host collectives fold with (bit-identical to the original
+    /// word-at-a-time loop).
+    fn reduce(&mut self, first: usize, lines: &[LineData]) {
+        let acc = &mut self.grads[first..first + lines.len()];
+        reduce_sum_run(lines_as_bytes(lines), lines_as_bytes_mut(acc));
+        self.reduced_lines += lines.len() as u64;
     }
 
     /// Store the optimizer's updated master parameters.
@@ -223,18 +226,25 @@ impl CpuPool {
         }
     }
 
-    fn restore(s: &CpuPoolSnapshot) -> Self {
-        let revive = |bytes: &Vec<u8>| {
-            let mut l = LineData::zeroed();
-            l.bytes_mut().copy_from_slice(bytes);
-            l
+    /// Rebuild the pool; a line that is not one cache line long is a
+    /// typed error.
+    fn restore(s: &CpuPoolSnapshot) -> Result<Self, SessionError> {
+        let revive = |what: &str, lines: &[Vec<u8>]| {
+            lines
+                .iter()
+                .enumerate()
+                .map(|(i, bytes)| {
+                    LineData::try_from(bytes.as_slice())
+                        .map_err(|e| SessionError::Config(format!("pool {what} line {i} has {e}")))
+                })
+                .collect::<Result<Vec<_>, _>>()
         };
-        CpuPool {
-            params: s.params.iter().map(revive).collect(),
-            grads: s.grads.iter().map(revive).collect(),
+        Ok(CpuPool {
+            params: revive("param", &s.params)?,
+            grads: revive("grad", &s.grads)?,
             reduced_lines: s.reduced_lines,
             updates: s.updates,
-        }
+        })
     }
 }
 
@@ -483,18 +493,34 @@ impl ClusterSession {
         i: u64,
         line: LineData,
     ) -> Result<(), SessionError> {
+        self.push_grad_shard_lines(dev, i, std::slice::from_ref(&line))
+    }
+
+    /// [`ClusterSession::push_grad_shard`] for lines `first..first +
+    /// lines.len()`, pushed as one run ([`TecoSession::push_grad_lines`])
+    /// and reduced into the pool in one pass. A push that fails part way
+    /// has reduced the lines before the failing one, as one call per line
+    /// would have.
+    fn push_grad_shard_lines(
+        &mut self,
+        dev: usize,
+        first: u64,
+        lines: &[LineData],
+    ) -> Result<(), SessionError> {
         if !self.alive[dev] {
             return Err(SessionError::DeviceDown {
                 device: dev as u64,
                 time_ns: self.now[dev].as_ns(),
             });
         }
-        let addr = Addr(self.grad_base.0 + i * LINE_BYTES as u64);
-        self.devices[dev]
-            .push_grad_line(addr, line, self.now[dev])
-            .map_err(|e| e.in_context(dev as u64, Some("grads".to_string()), self.now[dev]))?;
-        self.pool.reduce(i as usize, &line);
-        Ok(())
+        let addr = Addr(self.grad_base.0 + first * LINE_BYTES as u64);
+        let before = self.devices[dev].stats().grad_lines;
+        let pushed = self.devices[dev].push_grad_lines(addr, lines, self.now[dev]);
+        let done = (self.devices[dev].stats().grad_lines - before) as usize;
+        self.pool.reduce(first as usize, &lines[..done]);
+        pushed
+            .map(|_| ())
+            .map_err(|e| e.in_context(dev as u64, Some("grads".to_string()), self.now[dev]))
     }
 
     /// Fence every device's gradient flush, then arbitrate the shards'
@@ -765,7 +791,7 @@ impl ClusterSession {
             devices,
             now: s.now_ps.iter().map(|&ps| SimTime::from_ps(ps)).collect(),
             arbiter: HostLinkArbiter::restore(&s.arbiter).map_err(SessionError::Config)?,
-            pool: CpuPool::restore(&s.pool),
+            pool: CpuPool::restore(&s.pool)?,
             step: s.step,
             param_base: Addr(s.param_base),
             grad_base: Addr(s.grad_base),
@@ -946,6 +972,13 @@ pub struct ClusterWorkloadSnapshot {
     pub compute_ns_per_step: u64,
 }
 
+/// Gradient lines a [`ClusterDriver`] draws and pushes per run: long
+/// enough that the closed-form link run carries nearly all of each, short
+/// enough that one 32 KB stack buffer serves every device of every host,
+/// where a whole-shard buffer per driver would keep 64 bytes per gradient
+/// line resident for the driver's life.
+const SHARD_RUN: usize = 512;
+
 /// Live driver state for a [`ClusterWorkload`] (what a kill destroys).
 /// Public so the fabric drivers and the `stepbench` benchmark can drive
 /// one cluster per host, phase by phase.
@@ -1015,13 +1048,10 @@ impl ClusterDriver {
                 if self.compute_ns_per_step > 0 {
                     self.cluster.advance_compute(SimTime::from_ns(self.compute_ns_per_step));
                 }
-                let gl = self.grad_lines();
-                for d in 0..self.rngs.len() {
-                    for i in 0..gl {
-                        let line = Self::random_line(&mut self.rngs[d]);
-                        self.cluster.push_grad_shard(d, i, line)?;
-                    }
-                }
+                let gl = self.grad_lines() as usize;
+                // One stack buffer serves every device's shard runs.
+                let mut shard = [LineData::zeroed(); SHARD_RUN];
+                (0..self.rngs.len()).try_for_each(|d| self.push_shard(d, gl, &mut shard))?;
                 self.cluster.fence_grads_all();
             }
             StepBoundary::AfterActivation => self.check_activation(),
@@ -1033,6 +1063,34 @@ impl ClusterDriver {
                 let r = self.cluster.broadcast_params(&lines);
                 self.param_buf = lines;
                 r?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Draw device `d`'s gradient shard of `lines` lines and push it in
+    /// runs of [`SHARD_RUN`] lines through `buf`. The content stream ends
+    /// where one draw and one push per line would leave it: a push that
+    /// fails at line k has drawn lines 0..=k only.
+    fn push_shard(
+        &mut self,
+        d: usize,
+        lines: usize,
+        buf: &mut [LineData; SHARD_RUN],
+    ) -> Result<(), SessionError> {
+        for first in (0..lines).step_by(SHARD_RUN) {
+            let drawn_from = self.rngs[d].state();
+            let run = &mut buf[..SHARD_RUN.min(lines - first)];
+            run.iter_mut().for_each(|l| *l = Self::random_line(&mut self.rngs[d]));
+            let before = self.cluster.devices()[d].stats().grad_lines;
+            let pushed = self.cluster.push_grad_shard_lines(d, first as u64, run);
+            if pushed.is_err() {
+                let failed_at = self.cluster.devices()[d].stats().grad_lines - before;
+                self.rngs[d] = SimRng::from_state(drawn_from);
+                for _ in 0..=failed_at {
+                    Self::random_line(&mut self.rngs[d]);
+                }
+                return pushed;
             }
         }
         Ok(())
@@ -1348,6 +1406,23 @@ mod tests {
                 matches!(ClusterSession::from_snapshot(&s), Err(SessionError::Config(_))),
                 "edit {i} was not a typed Config error"
             );
+        }
+    }
+
+    #[test]
+    fn from_snapshot_rejects_a_short_pool_line() {
+        let cfg = ClusterConfig::new(TecoConfig::default().with_giant_cache_bytes(1 << 20), 2);
+        let mut c = ClusterSession::new(cfg).unwrap();
+        c.alloc_params(2).unwrap();
+        c.alloc_grads(2).unwrap();
+        let clean = c.snapshot();
+        let edits: [fn(&mut ClusterSnapshot); 2] =
+            [|s| s.pool.params[1].truncate(63), |s| s.pool.grads[0].push(0)];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut s = clean.clone();
+            edit(&mut s);
+            let err = ClusterSession::from_snapshot(&s).unwrap_err();
+            assert!(matches!(err, SessionError::Config(_)), "edit {i}: {err}");
         }
     }
 

@@ -1,5 +1,6 @@
 //! The multi-host training fabric: H hosts, each bringing its own
-//! [`ClusterSession`] device cluster to one shared CXL memory pool.
+//! [`ClusterSession`](crate::cluster::ClusterSession) device cluster to
+//! one shared CXL memory pool.
 //!
 //! Scaling out from [`crate::cluster`]'s "one box" takes exactly one new
 //! mechanism: after every host's intra-host gradient fence, the per-host

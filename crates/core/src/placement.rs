@@ -426,15 +426,9 @@ impl PlacementEngine {
             .store
             .iter()
             .map(|(a, bytes)| {
-                if bytes.len() != LINE_BYTES {
-                    return Err(format!(
-                        "placement store line {a:#x} has {} bytes, not {LINE_BYTES}",
-                        bytes.len()
-                    ));
-                }
-                let mut l = LineData::zeroed();
-                l.bytes_mut().copy_from_slice(bytes);
-                Ok((*a, l))
+                LineData::try_from(bytes.as_slice())
+                    .map(|line| (*a, line))
+                    .map_err(|e| format!("placement store line {a:#x} has {e}"))
             })
             .collect::<Result<_, _>>()?;
         Ok(PlacementEngine {

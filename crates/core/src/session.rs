@@ -19,9 +19,10 @@ use teco_cxl::{
     CoherenceEngine, CoherenceSnapshot, CxlFence, CxlLink, CxlLinkSnapshot, CxlPacket, DbaRegister,
     Direction, FaultStats, FenceDeadline, FenceStats, FenceTimeout, GiantCache, GiantCacheError,
     GiantCacheSnapshot, LinkError, MediaRas, MediaRasSnapshot, Opcode, ProtocolMode, RasStats,
+    TransferFault, PAYLOAD_FLIP,
 };
 use teco_mem::tier::Tier;
-use teco_mem::{Addr, LineData, LineSlot, RegionId, LINE_BYTES};
+use teco_mem::{Addr, LineData, RegionId, LINE_BYTES};
 use teco_sim::{Interval, SimTime};
 
 /// Statistics a session accumulates.
@@ -129,6 +130,28 @@ impl From<FenceTimeout> for SessionError {
     fn from(e: FenceTimeout) -> Self {
         SessionError::Fence(e)
     }
+}
+
+/// Parameter lines aggregated into the wire buffer per run. A session's
+/// buffer lives as long as the session, and a checkpoint restore builds a
+/// new one, so it stays small: 64 KB of DBA payload, 128 KB of full lines.
+const WIRE_RUN_LINES: usize = 2048;
+
+/// The fault outcome drawn for one line before it goes: the payload byte
+/// an aggregation-pipeline fault flips, if any, and the link transfer's
+/// fault.
+#[derive(Debug, Clone, Copy)]
+struct LineFault {
+    flip: Option<usize>,
+    transfer: TransferFault,
+}
+
+/// Widen `span` to cover `iv`.
+fn cover(span: &mut Option<Interval>, iv: Interval) {
+    *span = Some(match *span {
+        None => iv,
+        Some(s) => Interval::new(s.start.min(iv.start), s.end.max(iv.end)),
+    });
 }
 
 /// The TECO runtime session.
@@ -383,7 +406,7 @@ impl TecoSession {
     /// Push one *parameter* cache line CPU→device through the full TECO
     /// path: coherence transaction, (possible) aggregation, link transfer,
     /// and device-side merge into the giant cache. Returns the wire
-    /// interval.
+    /// interval. The one-line case of [`TecoSession::push_param_lines`].
     ///
     /// `fresh` is the updated line as the CPU optimizer produced it.
     pub fn push_param_line(
@@ -395,15 +418,20 @@ impl TecoSession {
         self.push_param_lines(addr, std::slice::from_ref(&fresh), now)
     }
 
-    /// Push a run of consecutive *parameter* lines CPU→device through the
-    /// bulk TECO path: one Aggregator pass packs every payload into a
-    /// reused wire buffer, the coherence transactions run on the
-    /// allocation-free accounting path, the link is charged per line
-    /// (timing identical to N calls of [`TecoSession::push_param_line`]),
-    /// and the device merges all lines in a single Disaggregator pass.
+    /// Push a run of consecutive *parameter* lines CPU→device. Lines go as
+    /// runs: every stretch of lines that draws no fault (the whole push,
+    /// with the fault model off) goes in runs of up to 2048 lines, each one
+    /// Aggregator pass into a reused wire buffer, one coherence run, one
+    /// closed-form link run and one Disaggregator pass on the device. Only
+    /// a line that draws a fault takes the recovery ladder, and RAS-on
+    /// sessions and sessions with a degraded region go one line at a time,
+    /// because each line is checked before it goes. The result is
+    /// observationally identical to one
+    /// [`TecoSession::push_param_line`] call per line, fault draws
+    /// included; an unmapped line rejects the whole run up front.
     ///
-    /// `lines[i]` maps to line address `base + 64·i`. Returns the union of
-    /// the per-line wire intervals.
+    /// `lines[i]` maps to line address `base + 64·i`. Returns the span of
+    /// the lines' wire intervals.
     pub fn push_param_lines(
         &mut self,
         base: Addr,
@@ -429,68 +457,112 @@ impl TecoSession {
                 return Err(GiantCacheError::NotMapped(addr_of(i)).into());
             }
         }
-        // The guarded per-line ladder runs only when it can matter: with
-        // the fault model off, no media RAS, and nothing degraded, the
-        // bulk fast path is byte- and cycle-identical to the
-        // pre-fault-model behavior.
-        if self.link.faults_enabled() || !self.degraded.is_empty() || self.media.is_some() {
-            let mut iv = Interval::new(now, now);
-            for (i, line) in lines.iter().enumerate() {
-                let t = self.push_param_line_guarded(addr_of(i), line, now)?;
-                iv = if i == 0 {
-                    t
-                } else {
-                    Interval::new(iv.start.min(t.start), iv.end.max(t.end))
-                };
+        let per = self.aggregator.register().payload_bytes();
+        let mut span = None;
+        let mut i = 0;
+        while i < n {
+            let (addr, line) = (addr_of(i), &lines[i]);
+            if self.region_degraded(addr) {
+                cover(&mut span, self.push_baseline_line(addr, line, now)?);
+                i += 1;
+                continue;
             }
-            return Ok(iv);
+            if self.media_rebuilds(addr) {
+                cover(&mut span, self.retry_full_line(addr, line, now)?);
+                i += 1;
+                continue;
+            }
+            let most = if self.media.is_some() || !self.degraded.is_empty() { 1 } else { n - i };
+            let (clean, fault) = self.clean_stretch(most, Direction::ToDevice, Some(per));
+            for run in lines[i..i + clean].chunks(WIRE_RUN_LINES) {
+                cover(&mut span, self.push_clean_params(addr_of(i), run, now)?);
+                i += run.len();
+            }
+            if let Some(fault) = fault {
+                cover(&mut span, self.param_line_ladder(addr_of(i), &lines[i], now, fault)?);
+                i += 1;
+            }
         }
+        Ok(span.expect("a non-empty push covers a span"))
+    }
+
+    /// Draw the fault outcomes of up to `most` lines in line order and
+    /// count how many lead clean; the first faulted line's outcome comes
+    /// back too, for the recovery ladder to apply. `payload_len` is the
+    /// DBA payload size for parameter lines (`None` for gradients, which
+    /// skip the aggregation pipeline). Draws nothing with the fault model
+    /// off.
+    fn clean_stretch(
+        &mut self,
+        most: usize,
+        d: Direction,
+        payload_len: Option<usize>,
+    ) -> (usize, Option<LineFault>) {
+        if !self.link.faults_enabled() {
+            return (most, None);
+        }
+        for k in 0..most {
+            let flip = payload_len.and_then(|len| self.link.draw_payload_fault(len));
+            let transfer = self.link.draw_fault(d);
+            if flip.is_some() || !transfer.is_clean() {
+                return (k, Some(LineFault { flip, transfer }));
+            }
+        }
+        (most, None)
+    }
+
+    /// Push a stretch of parameter lines that drew no fault as one run.
+    fn push_clean_params(
+        &mut self,
+        base: Addr,
+        lines: &[LineData],
+        now: SimTime,
+    ) -> Result<Interval, SessionError> {
+        let n = lines.len();
         let mut payload = std::mem::take(&mut self.wire_buf);
         let total = self.aggregator.aggregate_lines(lines, &mut payload);
         let per = total / n;
         let aggregated = per < LINE_BYTES;
         let latency = if aggregated { self.cfg.cxl.aggregator_latency } else { SimTime::ZERO };
-        let mut iv = Interval::new(now, now);
-        // One span lookup covers the whole run when the region is
-        // registered; each line then hits the coherence engine through its
-        // dense slot with no per-line address math or hashing. The link is
-        // charged per line afterwards; link state is independent of
-        // coherence state, so timing is identical to the interleaved
-        // per-line ordering.
-        let mut pushed = true;
-        match self.coherence.resolve_run(base, n) {
-            Some(start) => {
-                for k in 0..n {
-                    let slot = LineSlot::Dense(start + k);
-                    pushed &= self.coherence.write_accounted_at(Agent::Cpu, slot, per);
-                }
-            }
-            None => {
-                for i in 0..n {
-                    pushed &= self.coherence.write_accounted(Agent::Cpu, addr_of(i), per);
-                }
-            }
-        }
+        let pushed = self.coherence.write_run_accounted(Agent::Cpu, base, n, per);
         debug_assert!(pushed || self.cfg.protocol == ProtocolMode::Invalidation);
-        for i in 0..n {
-            let t = self.link.transfer(Direction::ToDevice, now, per as u64, latency);
-            iv = if i == 0 { t } else { Interval::new(iv.start.min(t.start), iv.end.max(t.end)) };
-        }
+        let iv = self.link.transfer_run(Direction::ToDevice, now, n as u64, per as u64, latency);
         // Device side: merge (DBA) or overwrite (full lines), one pass.
-        self.giant_cache.apply_dba_payloads(base, n, &payload)?;
+        let merged = self.giant_cache.apply_dba_payloads(base, n, &payload);
+        self.wire_buf = payload;
+        merged?;
         if self.shadow.is_some() {
             let dirty = if aggregated { self.aggregator.register().dirty_bytes() } else { 4 };
             for (i, line) in lines.iter().enumerate() {
-                self.shadow_merge(addr_of(i), line, dirty);
+                self.shadow_merge(Addr(base.0 + (i * LINE_BYTES) as u64), line, dirty);
             }
         }
         self.stats.param_lines += n as u64;
         self.stats.bytes_to_device += total as u64;
-        self.wire_buf = payload;
         Ok(iv)
     }
 
-    /// One parameter line through the recovery ladder:
+    /// The on-access media check that precedes each line of a RAS-on
+    /// session: a latent media fault on the line is found (and retired) by
+    /// the access itself, without waiting for the patrol scrubber. Returns
+    /// whether the resident copy is gone (retired or still poisoned), so
+    /// the line must be rebuilt from the fresh CPU copy.
+    fn media_rebuilds(&mut self, addr: Addr) -> bool {
+        let Some(media) = self.media.as_mut() else {
+            return false;
+        };
+        let line_idx = addr.0 / LINE_BYTES as u64;
+        if media.check_access(line_idx) {
+            self.retire_media_line(line_idx);
+        }
+        if !self.giant_cache.is_quarantined(addr) {
+            return false;
+        }
+        self.media.as_mut().expect("checked above").note_rebuild();
+        true
+    }
+
+    /// One parameter line that drew `fault`, through the recovery ladder:
     ///
     /// 1. DBA payload with a Fletcher-16 checksum. A checksum mismatch
     ///    (payload corrupted in the aggregation pipeline) or a poisoned
@@ -501,33 +573,13 @@ impl TecoSession {
     /// 3. If the link's replay buffer exhausts (either step), the whole
     ///    region downgrades to the software-memcpy baseline: plain copies
     ///    outside the coherent fault path, recorded in the fault report.
-    fn push_param_line_guarded(
+    fn param_line_ladder(
         &mut self,
         addr: Addr,
         line: &LineData,
         now: SimTime,
+        fault: LineFault,
     ) -> Result<Interval, SessionError> {
-        if self.region_degraded(addr) {
-            return self.push_baseline_line(addr, line, now);
-        }
-        if self.media.is_some() {
-            // On-access detection: a latent media fault on this line is
-            // found (and retired) by the access itself, without waiting
-            // for the patrol scrubber to reach it.
-            let line_idx = addr.0 / LINE_BYTES as u64;
-            let hit = self.media.as_mut().expect("checked above").check_access(line_idx);
-            if hit {
-                self.retire_media_line(line_idx);
-            }
-            if self.giant_cache.is_quarantined(addr) {
-                // The resident copy is gone (retired or still poisoned).
-                // The fresh CPU line is authoritative: rebuild with a
-                // full, uncompacted write, which heals the quarantine and
-                // lands in the line's current (possibly re-homed) slot.
-                self.media.as_mut().expect("checked above").note_rebuild();
-                return self.retry_full_line(addr, line, now);
-            }
-        }
         let mut buf = [0u8; LINE_BYTES];
         // Sender-side checksum, computed in the same pass that packs the
         // payload; the receiver recomputes after the wire (and the
@@ -537,10 +589,18 @@ impl TecoSession {
         let payload = &mut buf[..per];
         let aggregated = per < LINE_BYTES;
         let latency = if aggregated { self.cfg.cxl.aggregator_latency } else { SimTime::ZERO };
-        self.link.corrupt_payload(payload);
+        if let Some(at) = fault.flip {
+            payload[at] ^= PAYLOAD_FLIP;
+        }
         let pushed = self.coherence.write_accounted(Agent::Cpu, addr, per);
         debug_assert!(pushed || self.cfg.protocol == ProtocolMode::Invalidation);
-        let out = match self.link.transfer_checked(Direction::ToDevice, now, per as u64, latency) {
+        let out = match self.link.transfer_faulted(
+            Direction::ToDevice,
+            now,
+            per as u64,
+            latency,
+            fault.transfer,
+        ) {
             Ok(out) => out,
             Err(LinkError::RetryExhausted { .. }) => {
                 self.degrade_region(addr);
@@ -663,62 +723,115 @@ impl TecoSession {
                 .is_some_and(|r| self.degraded.contains(&r.base.0))
     }
 
-    /// Push one *gradient* cache line device→CPU. Gradients never use DBA
-    /// (§V: "The gradients transfers from the accelerator to CPU cannot
-    /// apply DBA"); they are full lines, so recovery needs no checksum —
-    /// a poisoned delivery gets one bounded resend, and link-retry
-    /// exhaustion at any point falls back to the baseline copy.
+    /// Push one *gradient* cache line device→CPU. The one-line case of
+    /// [`TecoSession::push_grad_lines`].
     pub fn push_grad_line(
         &mut self,
         addr: Addr,
         line: LineData,
         now: SimTime,
     ) -> Result<Interval, SessionError> {
-        if self.placement.as_ref().is_some_and(|e| e.owns(addr)) {
-            return self.push_side_lines(addr, std::slice::from_ref(&line), now, false);
+        self.push_grad_lines(addr, std::slice::from_ref(&line), now)
+    }
+
+    /// Push a run of consecutive *gradient* lines device→CPU, `lines[i]`
+    /// from line address `base + 64·i`. Gradients never use DBA (§V: "The
+    /// gradients transfers from the accelerator to CPU cannot apply
+    /// DBA"); they are full lines, so recovery needs no checksum — a
+    /// poisoned delivery gets one bounded resend, and link-retry exhaustion
+    /// is a typed error. Each stretch of lines that draws no fault goes as
+    /// one coherence run and one closed-form link run; under tiered
+    /// placement, whose side tiers and heat taps count per line, the lines
+    /// go one at a time. A run that fails at line k leaves the state k+1
+    /// [`TecoSession::push_grad_line`] calls leave, the last one failing.
+    /// Returns the span of the lines' wire intervals.
+    pub fn push_grad_lines(
+        &mut self,
+        base: Addr,
+        lines: &[LineData],
+        now: SimTime,
+    ) -> Result<Interval, SessionError> {
+        let n = lines.len();
+        if n == 0 {
+            return Ok(Interval::new(now, now));
         }
+        let addr_of = |i: usize| Addr(base.0 + (i * LINE_BYTES) as u64);
+        let mut span = None;
         if let Some(engine) = &mut self.placement {
-            engine.note_write(addr, LINE_BYTES as u64);
-        }
-        let _ = self.coherence.write(Agent::Device, addr, line.bytes(), false);
-        if !self.link.faults_enabled() {
-            let iv = self.link.transfer(Direction::ToHost, now, LINE_BYTES as u64, SimTime::ZERO);
-            self.stats.grad_lines += 1;
-            self.stats.bytes_to_host += LINE_BYTES as u64;
-            return Ok(iv);
-        }
-        // Gradient lines land in host memory, not the giant cache; poison
-        // containment is the home agent's admission check, and the bounded
-        // resend is the recovery.
-        let mut attempts = 0u32;
-        loop {
-            match self.link.transfer_checked(
-                Direction::ToHost,
-                now,
-                LINE_BYTES as u64,
-                SimTime::ZERO,
-            ) {
-                Ok(out) if out.poisoned && attempts == 0 => {
-                    let pkt =
-                        CxlPacket::data(Opcode::FlushData, addr, line.bytes().to_vec(), false)
-                            .with_poison(true);
-                    let admitted = self.coherence.admit_data(&pkt);
-                    debug_assert!(!admitted);
-                    self.fstats.full_line_retries += 1;
-                    attempts += 1;
+            if n > 1 {
+                for (i, line) in lines.iter().enumerate() {
+                    let one = std::slice::from_ref(line);
+                    cover(&mut span, self.push_grad_lines(addr_of(i), one, now)?);
                 }
-                Ok(out) => {
-                    // Either clean, or the bounded resend also arrived
-                    // poisoned — deliver what we have and let the stats
-                    // carry the poison record.
-                    self.stats.grad_lines += 1;
-                    self.stats.bytes_to_host += LINE_BYTES as u64;
-                    return Ok(out.interval);
-                }
-                Err(e @ LinkError::RetryExhausted { .. }) => {
-                    return Err(e.into());
-                }
+                return Ok(span.expect("a non-empty push covers a span"));
             }
+            if engine.owns(base) {
+                return self.push_side_lines(base, lines, now, false);
+            }
+            engine.note_write(base, LINE_BYTES as u64);
+        }
+        let mut i = 0;
+        while i < n {
+            let (clean, fault) = self.clean_stretch(n - i, Direction::ToHost, None);
+            if clean > 0 {
+                self.coherence.write_run_accounted(Agent::Device, addr_of(i), clean, LINE_BYTES);
+                let line = LINE_BYTES as u64;
+                let iv = self.link.transfer_run(
+                    Direction::ToHost,
+                    now,
+                    clean as u64,
+                    line,
+                    SimTime::ZERO,
+                );
+                cover(&mut span, iv);
+                self.stats.grad_lines += clean as u64;
+                self.stats.bytes_to_host += clean as u64 * line;
+                i += clean;
+            }
+            if let Some(fault) = fault {
+                cover(
+                    &mut span,
+                    self.grad_line_ladder(addr_of(i), &lines[i], now, fault.transfer)?,
+                );
+                i += 1;
+            }
+        }
+        Ok(span.expect("a non-empty push covers a span"))
+    }
+
+    /// One gradient line whose first transfer drew `fault`. Gradient lines
+    /// land in host memory, not the giant cache; poison containment is the
+    /// home agent's admission check, and the bounded resend is the
+    /// recovery.
+    fn grad_line_ladder(
+        &mut self,
+        addr: Addr,
+        line: &LineData,
+        now: SimTime,
+        mut fault: TransferFault,
+    ) -> Result<Interval, SessionError> {
+        self.coherence.write_accounted(Agent::Device, addr, LINE_BYTES);
+        let mut resent = false;
+        loop {
+            let bytes = LINE_BYTES as u64;
+            let out =
+                self.link.transfer_faulted(Direction::ToHost, now, bytes, SimTime::ZERO, fault)?;
+            if out.poisoned && !resent {
+                let pkt = CxlPacket::data(Opcode::FlushData, addr, line.bytes().to_vec(), false)
+                    .with_poison(true);
+                let admitted = self.coherence.admit_data(&pkt);
+                debug_assert!(!admitted);
+                self.fstats.full_line_retries += 1;
+                resent = true;
+                fault = self.link.draw_fault(Direction::ToHost);
+                continue;
+            }
+            // Either clean, or the bounded resend also arrived poisoned —
+            // deliver what we have and let the stats carry the poison
+            // record.
+            self.stats.grad_lines += 1;
+            self.stats.bytes_to_host += bytes;
+            return Ok(out.interval);
         }
     }
 
@@ -916,16 +1029,20 @@ impl TecoSession {
     /// bit-identical results.
     pub fn from_snapshot(s: &SessionSnapshot) -> Result<Self, SessionError> {
         s.cfg.validate().map_err(SessionError::Config)?;
-        let shadow = s.shadow.as_ref().map(|lines| {
-            lines
-                .iter()
-                .map(|(a, bytes)| {
-                    let mut l = LineData::zeroed();
-                    l.bytes_mut().copy_from_slice(bytes);
-                    (*a, l)
-                })
-                .collect::<HashMap<u64, LineData>>()
-        });
+        let shadow = s
+            .shadow
+            .as_ref()
+            .map(|lines| {
+                lines
+                    .iter()
+                    .map(|(a, bytes)| {
+                        LineData::try_from(bytes.as_slice()).map(|line| (*a, line)).map_err(|e| {
+                            SessionError::Config(format!("audit shadow line {a:#x} has {e}"))
+                        })
+                    })
+                    .collect::<Result<HashMap<u64, LineData>, SessionError>>()
+            })
+            .transpose()?;
         Ok(TecoSession {
             cfg: s.cfg.clone(),
             aggregator: Aggregator::restore(&s.aggregator),
@@ -965,7 +1082,7 @@ pub struct SessionSnapshot {
     pub giant_cache: GiantCacheSnapshot,
     /// Coherence engine: per-line MESI states, snoop filter, traffic.
     pub coherence: CoherenceSnapshot,
-    /// The link: per-channel server/busy-interval state and the fault
+    /// The link: per-channel server state and counters, and the fault
     /// injector's RNG streams (mid-retry kills resume the identical fault
     /// schedule).
     pub link: CxlLinkSnapshot,
@@ -1654,6 +1771,21 @@ mod tests {
         let mut snap = tiered_snapshot();
         snap.placement.as_mut().unwrap().store[0].1.truncate(63);
         assert!(matches!(TecoSession::from_snapshot(&snap), Err(SessionError::Config(_))));
+    }
+
+    #[test]
+    fn from_snapshot_rejects_a_short_audit_shadow_line() {
+        let cfg = TecoConfig::default().with_giant_cache_bytes(1 << 20).with_audit(true);
+        let mut s = TecoSession::new(cfg).unwrap();
+        let (_, base) = s.alloc_tensor("params", 4096).unwrap();
+        s.push_param_line(base, line_with(6), SimTime::ZERO).unwrap();
+        let mut snap = s.snapshot();
+        snap.shadow.as_mut().unwrap()[0].1.truncate(63);
+        let err = TecoSession::from_snapshot(&snap).unwrap_err();
+        assert!(
+            matches!(&err, SessionError::Config(m) if m.contains("has 63 bytes, not 64")),
+            "{err}"
+        );
     }
 
     #[test]

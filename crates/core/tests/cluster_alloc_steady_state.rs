@@ -1,77 +1,65 @@
 //! Zero-cost-when-off audit for the cluster's hot path.
 //!
 //! The shared counting allocator from `teco-testsupport` wraps the system
-//! allocator. After a warm-up step has sized every device's wire buffer
-//! and the arbiter scratch, the cluster's steady state — gradient-round
-//! arbitration plus the pooled parameter broadcast fanned out to every
-//! device — must not allocate at all with auditing off. The same loop
+//! allocator. After a warm-up step has sized every device's wire buffer,
+//! the driver's parameter buffer and the arbiter scratch, a full cluster
+//! step must not allocate at all with auditing off: every device's
+//! gradient shard drawn, pushed in runs and reduced into the pool, the
+//! gradient fences and their arbitration round, activation, and the
+//! pooled parameter broadcast fanned out to every device. The same step
 //! with auditing ON is then allowed (and expected) to allocate for the
 //! per-device shadow maps, proving the counter observes this path.
-//!
-//! The gradient *push* path builds per-packet payloads and has always
-//! allocated (same carve-out as the single-device audit in
-//! `alloc_steady_state.rs`), so the loop here exercises the covered
-//! paths: `fence_grads_all` (fences + one arbitration round) and
-//! `broadcast_params` (bulk param push + fence on every device + one
-//! host-budget broadcast charge).
 //!
 //! One `#[test]` only: the counter is global and the default harness runs
 //! tests on multiple threads.
 
-use teco_core::{ClusterConfig, ClusterSession, TecoConfig};
-use teco_mem::LineData;
+use teco_core::{ClusterConfig, ClusterDriver, ClusterWorkload, StepBoundary, TecoConfig};
 use teco_testsupport::{allocations, min_allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const DEVICES: usize = 4;
-const LINES: u64 = 128;
 
-fn line_with(v: u32) -> LineData {
-    let mut l = LineData::zeroed();
-    for w in 0..16 {
-        l.set_word(w, v.wrapping_add(w as u32));
-    }
-    l
+fn driver(audit: bool) -> ClusterDriver {
+    let base = TecoConfig::default()
+        .with_act_aft_steps(0)
+        .with_giant_cache_bytes(1 << 20)
+        .with_audit(audit);
+    let w = ClusterWorkload {
+        cfg: ClusterConfig::new(base, DEVICES),
+        steps: 0,
+        param_lines: 128,
+        // More than one shard run per device.
+        grad_lines: 1300,
+        compute_ns_per_step: 1_000,
+        seed: 5,
+    };
+    ClusterDriver::for_host(&w, 0).expect("config validates")
 }
 
-fn step_loop(c: &mut ClusterSession, lines: &[LineData]) {
-    c.fence_grads_all();
-    c.broadcast_params(lines).expect("mapped run must broadcast");
+fn step(d: &mut ClusterDriver) {
+    d.run_step_until(StepBoundary::AfterParamFence).expect("step runs");
 }
 
 #[test]
 fn cluster_steady_state_allocates_nothing_with_audit_off() {
-    let base = TecoConfig::default().with_act_aft_steps(0).with_giant_cache_bytes(1 << 20);
-    assert!(!base.audit, "audit must default off");
-    let mut c = ClusterSession::new(ClusterConfig::new(base, DEVICES)).expect("config validates");
-    c.alloc_params(LINES).expect("fits");
-    c.check_activation_all();
-    let lines: Vec<LineData> = (0..LINES).map(|i| line_with(0x7100_0000 + i as u32)).collect();
-    // Warm-up sizes every device's wire buffer and the arbiter scratch.
-    step_loop(&mut c, &lines);
+    assert!(!TecoConfig::default().audit, "audit must default off");
+    let mut d = driver(false);
+    // Warm-up sizes every device's wire buffer and the driver's scratch.
+    step(&mut d);
     let off_allocs = min_allocations(5, || {
         for _ in 0..10 {
-            step_loop(&mut c, &lines);
+            step(&mut d);
         }
     });
     assert_eq!(off_allocs, 0, "audit-off cluster steady state must not allocate");
 
-    // Control: the same loop with the auditor ON does allocate (every
+    // Control: the same step with the auditor ON does allocate (every
     // device's shadow map populates on the first broadcast) — proving the
     // counter watches this path and the zero above is meaningful.
-    let base = TecoConfig::default()
-        .with_act_aft_steps(0)
-        .with_giant_cache_bytes(1 << 20)
-        .with_audit(true);
-    let mut audited =
-        ClusterSession::new(ClusterConfig::new(base, DEVICES)).expect("audited config validates");
-    audited.alloc_params(LINES).expect("fits");
-    audited.check_activation_all();
-    let on_allocs = allocations(|| {
-        step_loop(&mut audited, &lines);
-    });
-    assert!(on_allocs > 0, "audited first broadcast must populate the shadows");
-    assert!(audited.audit_status().is_none(), "every device shadow must match");
+    let mut audited = driver(true);
+    let on_allocs = allocations(|| step(&mut audited));
+    assert!(on_allocs > 0, "audited first step must populate the shadows");
+    assert!(audited.cluster().audit_status().is_none(), "every device shadow must match");
 }

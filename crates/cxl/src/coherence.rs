@@ -261,25 +261,27 @@ impl CoherenceEngine {
         }
     }
 
-    /// Account one message (opcode counts + per-direction traffic) without
-    /// materializing a packet. `payload_len` is 0 for control messages.
-    fn account(&mut self, to: Agent, opcode: Opcode, payload_len: usize) {
-        self.msg_counts[opcode.index()] += 1;
+    /// Account `m` equal messages (opcode counts + per-direction traffic)
+    /// without materializing packets. `payload_len` is 0 for control
+    /// messages.
+    fn account(&mut self, to: Agent, opcode: Opcode, payload_len: usize, m: usize) {
+        let m = m as u64;
+        self.msg_counts[opcode.index()] += m;
         let stats = match to {
             Agent::Device => &mut self.to_device,
             Agent::Cpu => &mut self.to_host,
         };
-        stats.packets += 1;
+        stats.packets += m;
         if opcode.carries_data() {
-            stats.data_bytes += payload_len as u64;
-            stats.control_bytes += crate::packet::HEADER_BYTES as u64;
+            stats.data_bytes += payload_len as u64 * m;
+            stats.control_bytes += crate::packet::HEADER_BYTES as u64 * m;
         } else {
-            stats.control_bytes += (crate::packet::HEADER_BYTES + payload_len) as u64;
+            stats.control_bytes += (crate::packet::HEADER_BYTES + payload_len) as u64 * m;
         }
     }
 
     fn emit(&mut self, to: Agent, pkt: CxlPacket) -> CxlPacket {
-        self.account(to, pkt.opcode, pkt.payload.len());
+        self.account(to, pkt.opcode, pkt.payload.len(), 1);
         pkt
     }
 
@@ -295,52 +297,24 @@ impl CoherenceEngine {
         payload: &[u8],
         aggregated: bool,
     ) -> Vec<CxlPacket> {
-        let mut out = Vec::new();
-        let slot = self.resolve(addr);
+        let st = self.line_state(addr);
         let reader = writer.peer();
-        let st = *self.state_mut_at(slot);
-
-        // Acquire ownership if we don't have it (Fig. 5 step ①).
-        let my = st.get(writer);
-        if my == MesiState::I || my == MesiState::S {
-            out.push(self.emit(reader, CxlPacket::control(Opcode::ReadOwn, addr)));
-            match self.mode {
-                ProtocolMode::Invalidation => {
-                    // ReadOwn invalidates the peer copy.
-                    if st.get(reader) != MesiState::I {
-                        out.push(self.emit(reader, CxlPacket::control(Opcode::Invalidate, addr)));
-                        self.state_mut_at(slot).set(reader, MesiState::I);
-                    }
-                    self.snoop.set_exclusive_at(slot, writer);
-                }
-                ProtocolMode::Update => {
-                    // The update extension leaves the peer copy in place; it
-                    // is about to receive fresh data anyway.
-                }
+        self.write_accounted(writer, addr, payload.len());
+        let mut out = Vec::new();
+        // Ownership acquisition (Fig. 5 step ①): ReadOwn, which in the
+        // invalidation protocol also invalidates a live peer copy.
+        if matches!(st.get(writer), MesiState::I | MesiState::S) {
+            out.push(CxlPacket::control(Opcode::ReadOwn, addr));
+            if self.mode == ProtocolMode::Invalidation && st.get(reader) != MesiState::I {
+                out.push(CxlPacket::control(Opcode::Invalidate, addr));
             }
-            self.state_mut_at(slot).set(writer, MesiState::E);
         }
-
-        // Perform the store: E→M (no traffic).
-        self.state_mut_at(slot).set(writer, MesiState::M);
-
-        match self.mode {
-            ProtocolMode::Update => {
-                // Fig. 5 step ②: home agent approves with GoFlush, the data
-                // is pushed, and writer transitions M→S while the peer's
-                // copy becomes S.
-                out.push(self.emit(writer, CxlPacket::control(Opcode::GoFlush, addr)));
-                out.push(self.emit(
-                    reader,
-                    CxlPacket::data(Opcode::FlushData, addr, payload.to_vec(), aggregated),
-                ));
-                let ls = self.state_mut_at(slot);
-                ls.set(writer, MesiState::S);
-                ls.set(reader, MesiState::S);
-            }
-            ProtocolMode::Invalidation => {
-                // Data stays put until the peer reads.
-            }
+        // Fig. 5 step ②: the home agent approves with GoFlush and the data
+        // is pushed; the invalidation protocol leaves it put until the
+        // peer reads.
+        if self.mode == ProtocolMode::Update {
+            out.push(CxlPacket::control(Opcode::GoFlush, addr));
+            out.push(CxlPacket::data(Opcode::FlushData, addr, payload.to_vec(), aggregated));
         }
         out
     }
@@ -350,56 +324,137 @@ impl CoherenceEngine {
     /// accounting, but no `CxlPacket`s are materialized (and therefore no
     /// payload copy). `payload_len` is the FlushData payload size the
     /// update protocol would push. Returns `true` when a `FlushData` push
-    /// was emitted (always, in update mode).
+    /// was emitted (always, in update mode). The one-line case of
+    /// [`CoherenceEngine::write_run_accounted`].
     pub fn write_accounted(&mut self, writer: Agent, addr: Addr, payload_len: usize) -> bool {
-        let slot = self.resolve(addr);
-        self.write_accounted_at(writer, slot, payload_len)
+        self.write_run_accounted(writer, addr, 1, payload_len)
     }
 
-    /// [`CoherenceEngine::write_accounted`] against a pre-resolved slot —
-    /// the per-event hot path for bulk pushes, where the caller resolved
-    /// the whole run once via [`CoherenceEngine::resolve_run`].
+    /// [`CoherenceEngine::write_accounted`] against a pre-resolved slot.
     pub fn write_accounted_at(
         &mut self,
         writer: Agent,
         slot: LineSlot,
         payload_len: usize,
     ) -> bool {
-        let reader = writer.peer();
-        let st = *self.state_mut_at(slot);
+        match slot {
+            LineSlot::Dense(i) => self.write_dense_run(writer, i, 1, payload_len),
+            LineSlot::Spill(line) => {
+                let st = *self.spill.get(&line).unwrap_or(&self.initial);
+                let next = self.store(writer, slot, st, 1, payload_len);
+                self.spill.insert(line, next);
+            }
+        }
+        self.mode == ProtocolMode::Update
+    }
 
+    /// Stores by `writer` to the `n` consecutive lines starting at `base`,
+    /// each pushing a `payload_len`-byte FlushData in update mode: the same
+    /// states, message counts, traffic and snoop entries as `n` calls of
+    /// [`CoherenceEngine::write_accounted`]. A run inside one registered
+    /// region is charged in bulk: lines in the same state take the same
+    /// MESI transition, so each stretch of equal states is accounted once
+    /// and overwritten with its next state in one fill. Returns `true` in
+    /// update mode, where every store pushes its data.
+    pub fn write_run_accounted(
+        &mut self,
+        writer: Agent,
+        base: Addr,
+        n: usize,
+        payload_len: usize,
+    ) -> bool {
+        match self.resolve_run(base, n) {
+            Some(start) if n > 0 => self.write_dense_run(writer, start, n, payload_len),
+            _ => {
+                for i in 0..n {
+                    let slot = self.resolve(Addr(base.0 + (i * LINE_BYTES) as u64));
+                    self.write_accounted_at(writer, slot, payload_len);
+                }
+            }
+        }
+        self.mode == ProtocolMode::Update
+    }
+
+    /// The dense-slot body of [`CoherenceEngine::write_run_accounted`].
+    fn write_dense_run(&mut self, writer: Agent, start: usize, n: usize, payload_len: usize) {
+        if n == 1 {
+            // One line is its own stretch; skip the segment walk.
+            let st = if self.touched.set(start) { self.dense.get(start) } else { self.initial };
+            let next = self.store(writer, LineSlot::Dense(start), st, 1, payload_len);
+            *self.dense.get_mut(start) = next;
+            return;
+        }
+        // Borrow the slab out so each transition can account on `self`.
+        let mut dense = std::mem::replace(&mut self.dense, LineSlab::new(1, self.initial));
+        dense.for_segments_mut(start, n, |off, seg| {
+            let first = start + off;
+            let mut k = 0;
+            while k < seg.len() {
+                let state = |j: usize| {
+                    if self.touched.get(first + j) {
+                        seg[j]
+                    } else {
+                        self.initial
+                    }
+                };
+                let st = state(k);
+                let mut end = k + 1;
+                while end < seg.len() && state(end) == st {
+                    end += 1;
+                }
+                let next = self.store(writer, LineSlot::Dense(first + k), st, end - k, payload_len);
+                seg[k..end].fill(next);
+                k = end;
+            }
+        });
+        self.dense = dense;
+        self.touched.set_range(start, n);
+    }
+
+    /// One MESI store transition (Fig. 5) taken by `m` lines in state `st`,
+    /// the first at `slot` and the rest at the slots after it: accounts
+    /// their messages, records the writer's exclusive snoop entries, and
+    /// returns the lines' next state.
+    fn store(
+        &mut self,
+        writer: Agent,
+        slot: LineSlot,
+        st: LineState,
+        m: usize,
+        payload_len: usize,
+    ) -> LineState {
+        let reader = writer.peer();
+        let mut next = st;
         // Acquire ownership if we don't have it (Fig. 5 step ①).
-        let my = st.get(writer);
-        if my == MesiState::I || my == MesiState::S {
-            self.account(reader, Opcode::ReadOwn, 0);
+        if matches!(st.get(writer), MesiState::I | MesiState::S) {
+            self.account(reader, Opcode::ReadOwn, 0, m);
             match self.mode {
                 ProtocolMode::Invalidation => {
                     if st.get(reader) != MesiState::I {
-                        self.account(reader, Opcode::Invalidate, 0);
-                        self.state_mut_at(slot).set(reader, MesiState::I);
+                        self.account(reader, Opcode::Invalidate, 0, m);
+                        next.set(reader, MesiState::I);
                     }
-                    self.snoop.set_exclusive_at(slot, writer);
+                    for k in 0..m {
+                        let at = match slot {
+                            LineSlot::Dense(i) => LineSlot::Dense(i + k),
+                            spill => spill,
+                        };
+                        self.snoop.set_exclusive_at(at, writer);
+                    }
                 }
                 ProtocolMode::Update => {}
             }
-            self.state_mut_at(slot).set(writer, MesiState::E);
         }
-
-        // Perform the store: E→M (no traffic).
-        self.state_mut_at(slot).set(writer, MesiState::M);
-
-        match self.mode {
-            ProtocolMode::Update => {
-                // Fig. 5 step ②: GoFlush + FlushData, both ends → S.
-                self.account(writer, Opcode::GoFlush, 0);
-                self.account(reader, Opcode::FlushData, payload_len);
-                let ls = self.state_mut_at(slot);
-                ls.set(writer, MesiState::S);
-                ls.set(reader, MesiState::S);
-                true
-            }
-            ProtocolMode::Invalidation => false,
+        // Perform the store (E→M, no traffic).
+        next.set(writer, MesiState::M);
+        if self.mode == ProtocolMode::Update {
+            // Fig. 5 step ②: GoFlush + FlushData, both ends → S.
+            self.account(writer, Opcode::GoFlush, 0, m);
+            self.account(reader, Opcode::FlushData, payload_len, m);
+            next.set(writer, MesiState::S);
+            next.set(reader, MesiState::S);
         }
+        next
     }
 
     /// A load by `reader` of a giant-cache-domain line. In the update

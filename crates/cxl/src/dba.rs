@@ -390,7 +390,7 @@ fn unpack_merge_line(payload: &[u8], n: usize, resident: &mut LineData) {
 /// swizzles from those lanes. The loop bodies are branch-free with
 /// independent lanes, which LLVM autovectorizes on any SSE2+/NEON target.
 /// The pre-vectorization word-at-a-time kernels are kept verbatim in
-/// [`super::scalar`] as the proptest oracle, exactly as `refmaps` keeps
+/// [`crate::dba::scalar`] as the proptest oracle, exactly as `refmaps` keeps
 /// the hash-map arenas.
 ///
 /// All loads/stores go through `u64::{from,to}_le_bytes` on byte slices,

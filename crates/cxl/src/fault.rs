@@ -88,6 +88,9 @@ impl Default for FaultConfig {
     }
 }
 
+/// The XOR mask an aggregation-pipeline fault flips into one payload byte.
+pub const PAYLOAD_FLIP: u8 = 0x5A;
+
 /// The fault decision for one link transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferFault {
@@ -99,6 +102,17 @@ pub struct TransferFault {
     pub stall: SimTime,
     /// The delivered payload is poisoned.
     pub poisoned: bool,
+}
+
+impl TransferFault {
+    /// No fault: the transfer goes through on its first try.
+    pub const CLEAN: TransferFault =
+        TransferFault { retries: 0, exhausted: false, stall: SimTime::ZERO, poisoned: false };
+
+    /// Does the transfer go through untouched?
+    pub fn is_clean(&self) -> bool {
+        *self == Self::CLEAN
+    }
 }
 
 /// Seeded per-injection-point fault source. One forked RNG stream per
@@ -154,19 +168,18 @@ impl FaultInjector {
         TransferFault { retries, exhausted, stall, poisoned }
     }
 
-    /// Possibly corrupt one DBA per-line payload in place (single-byte XOR
-    /// flip at a deterministic position — always detected by the
-    /// Fletcher-16 [`line_checksum`]). Returns whether a flip happened.
-    pub fn corrupt_payload(&mut self, payload: &mut [u8]) -> bool {
-        if self.cfg.dba_checksum_error_rate <= 0.0 || payload.is_empty() {
-            return false;
+    /// Decide whether the next DBA per-line payload, `len` bytes long, is
+    /// silently corrupted in the aggregation pipeline: the index of the
+    /// byte a fault flips by XOR with [`PAYLOAD_FLIP`], if any. A flipped
+    /// byte is always detected by the Fletcher-16 [`line_checksum`].
+    pub fn payload_fault(&mut self, len: usize) -> Option<usize> {
+        if self.cfg.dba_checksum_error_rate <= 0.0 || len == 0 {
+            return None;
         }
         if !self.payload.bernoulli(self.cfg.dba_checksum_error_rate) {
-            return false;
+            return None;
         }
-        let idx = self.payload.index(payload.len());
-        payload[idx] ^= 0x5A;
-        true
+        Some(self.payload.index(len))
     }
 
     /// Checkpoint image: the config plus the raw state of every forked
@@ -207,7 +220,7 @@ pub struct FaultInjectorSnapshot {
 
 /// Fletcher-16 over a payload — the per-line DBA checksum carried beside
 /// each aggregated payload. Detects all single-byte corruptions (which is
-/// exactly what [`FaultInjector::corrupt_payload`] injects).
+/// exactly what [`FaultInjector::payload_fault`] injects).
 ///
 /// This is the one shared implementation: the Aggregator's fused
 /// checksum path (`Aggregator::aggregate_into_checksummed`) and the link's
@@ -362,14 +375,14 @@ mod tests {
         for len in [1usize, 16, 32, 64] {
             let mut p = vec![0xA5u8; len];
             let before = line_checksum(&p);
-            assert!(inj.corrupt_payload(&mut p));
+            let at = inj.payload_fault(len).expect("rate 1.0 always corrupts");
+            p[at] ^= PAYLOAD_FLIP;
             assert_ne!(line_checksum(&p), before, "len {len}");
         }
         // Zero rate never draws or flips.
         let mut off = FaultInjector::new(FaultConfig::off());
-        let mut p = vec![1u8; 32];
-        assert!(!off.corrupt_payload(&mut p));
-        assert_eq!(p, vec![1u8; 32]);
+        assert_eq!(off.payload_fault(32), None);
+        assert_eq!(off.snapshot(), FaultInjector::new(FaultConfig::off()).snapshot());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! - [`giant_cache`]: the BAR-configured giant-cache region of accelerator
 //!   memory with the device-side merge path;
 //! - [`link`]: the full-duplex serial link with per-direction volume and
-//!   busy-interval accounting;
+//!   busy-time accounting, charging a stream of equal lines as one
+//!   closed-form run;
 //! - [`fence`] — `CXLFENCE()` (with an optional timeout);
 //! - [`fault`]: deterministic link-level fault injection (CRC/replay,
 //!   transient stalls, poison) and the recovery statistics;
@@ -73,6 +74,7 @@ pub use dba::{
 };
 pub use fault::{
     line_checksum, FaultConfig, FaultInjector, FaultInjectorSnapshot, FaultStats, TransferFault,
+    PAYLOAD_FLIP,
 };
 pub use fence::{CxlFence, FenceDeadline, FenceStats, FenceTimeout, FENCE_CHECK_OVERHEAD};
 pub use flit::{
@@ -81,7 +83,7 @@ pub use flit::{
 };
 pub use flow::{CreditLoop, FlowConfig};
 pub use giant_cache::{GiantCache, GiantCacheError, GiantCacheSnapshot};
-pub use link::{CxlLink, CxlLinkSnapshot, Direction, LinkError, TransferOutcome};
+pub use link::{BusyTime, CxlLink, CxlLinkSnapshot, Direction, LinkError, TransferOutcome};
 pub use packet::{wire_bytes_for_lines, CxlPacket, Opcode, HEADER_BYTES, MAX_PAYLOAD_BYTES};
 pub use ras::{MediaRas, MediaRasSnapshot, RasConfig, RasStats};
 pub use refmaps::{HashCoherenceEngine, HashGiantCache, HashSnoopFilter};

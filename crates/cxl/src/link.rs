@@ -6,11 +6,9 @@
 //! manner" (§VIII-A).
 
 use crate::config::CxlConfig;
-use crate::fault::{FaultInjector, FaultInjectorSnapshot, FaultStats};
+use crate::fault::{FaultInjector, FaultInjectorSnapshot, FaultStats, TransferFault};
 use serde::{Deserialize, Serialize};
-use teco_sim::{
-    BoundedServer, BoundedServerSnapshot, Interval, IntervalSet, IntervalSetSnapshot, SimTime,
-};
+use teco_sim::{BoundedServer, BoundedServerSnapshot, Interval, SimTime};
 
 /// Transfer direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,11 +19,11 @@ pub enum Direction {
     ToHost,
 }
 
-/// One direction of the link.
+/// One direction of the link. It keeps counters, not history: its busy
+/// time is the server's cumulative service time.
 #[derive(Debug)]
 struct Channel {
     server: BoundedServer,
-    busy: IntervalSet,
     payload_bytes: u64,
     /// Wire bytes consumed by ack/nak replays — kept out of
     /// `payload_bytes` so fault-free traffic accounting is untouched.
@@ -36,7 +34,6 @@ impl Channel {
     fn new(cfg: &CxlConfig) -> Self {
         Channel {
             server: BoundedServer::new(cfg.cxl_bandwidth(), cfg.pending_queue_entries),
-            busy: IntervalSet::new(),
             payload_bytes: 0,
             replay_bytes: 0,
         }
@@ -45,7 +42,6 @@ impl Channel {
     fn snapshot(&self) -> ChannelSnapshot {
         ChannelSnapshot {
             server: self.server.snapshot(),
-            busy: self.busy.snapshot(),
             payload_bytes: self.payload_bytes,
             replay_bytes: self.replay_bytes,
         }
@@ -54,7 +50,6 @@ impl Channel {
     fn restore(s: &ChannelSnapshot) -> Self {
         Channel {
             server: BoundedServer::restore(&s.server),
-            busy: IntervalSet::restore(&s.busy),
             payload_bytes: s.payload_bytes,
             replay_bytes: s.replay_bytes,
         }
@@ -66,8 +61,6 @@ impl Channel {
 pub struct ChannelSnapshot {
     /// The bounded serial server (wire occupancy + pending queue).
     pub server: BoundedServerSnapshot,
-    /// Busy intervals accumulated on the wire.
-    pub busy: IntervalSetSnapshot,
     /// Payload bytes moved (replays excluded).
     pub payload_bytes: u64,
     /// Wire bytes burned on ack/nak replays.
@@ -106,6 +99,19 @@ pub struct TransferOutcome {
     pub retries: u32,
     /// The payload arrived poisoned (delivered, but flagged corrupt).
     pub poisoned: bool,
+}
+
+/// Busy time of one link direction. A FIFO server's service intervals
+/// never overlap, so the wire's cumulative service time is exactly the
+/// measure of the union of every interval it served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BusyTime(SimTime);
+
+impl BusyTime {
+    /// Total time the direction's wire was busy.
+    pub fn total(self) -> SimTime {
+        self.0
+    }
 }
 
 /// The full-duplex CXL link with per-direction accounting.
@@ -153,7 +159,8 @@ impl CxlLink {
 
     /// Submit a transfer of `bytes` ready at `ready` in direction `d`, with
     /// an optional fixed pipeline latency (Aggregator/Disaggregator delay).
-    /// Returns the service interval on the wire.
+    /// Returns the service interval on the wire. The one-line case of
+    /// [`CxlLink::transfer_run`].
     pub fn transfer(
         &mut self,
         d: Direction,
@@ -161,7 +168,24 @@ impl CxlLink {
         bytes: u64,
         latency: SimTime,
     ) -> Interval {
-        self.submit(d, ready, bytes, latency, true)
+        self.transfer_run(d, ready, 1, bytes, latency)
+    }
+
+    /// Stream `n` equal transfers of `bytes`, all ready at `ready`, through
+    /// direction `d`: the cache lines of one push going "through the link
+    /// one after another" (§VIII-A). Leaves the link exactly as `n` calls
+    /// of [`CxlLink::transfer`] do, in O(min(n, queue entries)), and
+    /// returns the run's wire span, from the first line's start to the
+    /// last line's end (empty at `ready` when `n == 0`).
+    pub fn transfer_run(
+        &mut self,
+        d: Direction,
+        ready: SimTime,
+        n: u64,
+        bytes: u64,
+        latency: SimTime,
+    ) -> Interval {
+        self.submit(d, ready, n, bytes, latency, true)
     }
 
     /// Convenience: transfer with no extra latency.
@@ -169,26 +193,27 @@ impl CxlLink {
         self.transfer(d, ready, bytes, SimTime::ZERO)
     }
 
-    /// Put one service on the wire. `payload` distinguishes real traffic
-    /// (counted in `volume`) from ack/nak replays (counted separately so
-    /// fault-free accounting stays identical to the legacy path).
+    /// Put a run of `n` services on the wire. `payload` distinguishes real
+    /// traffic (counted in `volume`) from ack/nak replays (counted
+    /// separately so fault-free accounting stays identical to the legacy
+    /// path).
     fn submit(
         &mut self,
         d: Direction,
         ready: SimTime,
+        n: u64,
         bytes: u64,
         latency: SimTime,
         payload: bool,
     ) -> Interval {
         let ch = self.channel_mut(d);
-        let (_admitted, iv) = ch.server.submit_with_latency(ready, bytes, latency);
-        ch.busy.add(iv);
+        let iv = ch.server.submit_run(ready, n, bytes, latency);
         if payload {
-            ch.payload_bytes += bytes;
+            ch.payload_bytes += n * bytes;
         } else {
-            ch.replay_bytes += bytes;
+            ch.replay_bytes += n * bytes;
         }
-        iv
+        iv.unwrap_or(Interval { start: ready, end: ready })
     }
 
     /// Fault-aware transfer: the link-retry state machine. With the fault
@@ -205,12 +230,39 @@ impl CxlLink {
         bytes: u64,
         latency: SimTime,
     ) -> Result<TransferOutcome, LinkError> {
-        if self.injector.is_none() {
-            let interval = self.submit(d, ready, bytes, latency, true);
-            return Ok(TransferOutcome { interval, retries: 0, poisoned: false });
+        let fault = self.draw_fault(d);
+        self.transfer_faulted(d, ready, bytes, latency, fault)
+    }
+
+    /// Draw the fault outcome of the next transfer in direction `d` from
+    /// that direction's stream ([`TransferFault::CLEAN`], with no draw,
+    /// when the fault model is off). A caller that looks ahead for a clean
+    /// stretch draws here and hands the outcome to
+    /// [`CxlLink::transfer_faulted`] or, for clean ones, to
+    /// [`CxlLink::transfer_run`].
+    pub fn draw_fault(&mut self, d: Direction) -> TransferFault {
+        match &mut self.injector {
+            Some(inj) => inj.transfer_fault(d == Direction::ToDevice),
+            None => TransferFault::CLEAN,
         }
-        let fault =
-            self.injector.as_mut().expect("checked above").transfer_fault(d == Direction::ToDevice);
+    }
+
+    /// Draw whether the next DBA payload of `len` bytes is corrupted in the
+    /// aggregation pipeline: the byte to flip, if any (always `None` with
+    /// the fault model off).
+    pub fn draw_payload_fault(&mut self, len: usize) -> Option<usize> {
+        self.injector.as_mut().and_then(|inj| inj.payload_fault(len))
+    }
+
+    /// [`CxlLink::transfer_checked`] with its fault outcome already drawn.
+    pub fn transfer_faulted(
+        &mut self,
+        d: Direction,
+        ready: SimTime,
+        bytes: u64,
+        latency: SimTime,
+        fault: TransferFault,
+    ) -> Result<TransferOutcome, LinkError> {
         let retry_latency = SimTime::from_ns(self.cfg.fault.retry_latency_ns);
         if fault.retries > 0 {
             self.fstats.crc_errors += 1;
@@ -220,7 +272,7 @@ impl CxlLink {
         // occupies the wire like the real transfer, plus the ack/nak round
         // trip before the next attempt starts.
         for _ in 0..fault.retries {
-            let iv = self.submit(d, ready, bytes, retry_latency, false);
+            let iv = self.submit(d, ready, 1, bytes, retry_latency, false);
             self.fstats.replay_ns += iv.len().as_ns() + self.cfg.fault.retry_latency_ns;
         }
         if fault.exhausted {
@@ -231,7 +283,7 @@ impl CxlLink {
             self.fstats.stalls += 1;
             self.fstats.stall_ns += fault.stall.as_ns();
         }
-        let interval = self.submit(d, ready, bytes, latency + fault.stall, true);
+        let interval = self.submit(d, ready, 1, bytes, latency + fault.stall, true);
         if fault.poisoned {
             self.fstats.poisoned_lines += 1;
         }
@@ -246,16 +298,6 @@ impl CxlLink {
     /// Link-side fault counters (all zero with the model off).
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fstats
-    }
-
-    /// Possibly corrupt a DBA payload in place (the aggregation-pipeline
-    /// fault class, detected by the per-line checksum). No-op with the
-    /// fault model off.
-    pub fn corrupt_payload(&mut self, payload: &mut [u8]) -> bool {
-        match &mut self.injector {
-            Some(inj) => inj.corrupt_payload(payload),
-            None => false,
-        }
     }
 
     /// When the direction's wire drains completely — the `CXLFENCE`
@@ -274,10 +316,9 @@ impl CxlLink {
         self.channel(d).replay_bytes
     }
 
-    /// Busy intervals of a direction (for exposed-time accounting against
-    /// compute intervals).
-    pub fn busy(&self, d: Direction) -> &IntervalSet {
-        &self.channel(d).busy
+    /// Busy time of a direction: payloads and replays on the wire.
+    pub fn busy(&self, d: Direction) -> BusyTime {
+        BusyTime(self.channel(d).server.server().busy_time())
     }
 
     /// Producer stall time from pending-queue back-pressure.

@@ -159,12 +159,15 @@ pub const CHUNK_LINES: usize = 8192;
 /// a chunk materializes (filled with the default value) on first mutable
 /// access, so untouched stretches of a huge region cost only one pointer.
 /// `stride` is the entries-per-line factor: 1 for per-line state, 64
-/// (`LINE_BYTES`) for line data.
+/// (`LINE_BYTES`) for line data; a power of two, so a chunk holds a power
+/// of two entries and locating an entry is a shift and a mask.
 #[derive(Debug, Clone)]
 pub struct LineSlab<T: Copy> {
     chunks: Vec<Option<Box<[T]>>>,
     /// Entries per line.
     stride: usize,
+    /// log2 of the entries per chunk.
+    chunk_shift: u32,
     /// Total entries (lines × stride).
     len: usize,
     fill: T,
@@ -173,14 +176,21 @@ pub struct LineSlab<T: Copy> {
 impl<T: Copy> LineSlab<T> {
     /// Empty slab holding `stride` entries per line.
     pub fn new(stride: usize, fill: T) -> Self {
-        assert!(stride > 0);
-        LineSlab { chunks: Vec::new(), stride, len: 0, fill }
+        assert!(stride.is_power_of_two(), "stride must be a power of two, got {stride}");
+        let chunk_shift = (CHUNK_LINES * stride).trailing_zeros();
+        LineSlab { chunks: Vec::new(), stride, chunk_shift, len: 0, fill }
     }
 
     /// Entries per chunk.
     #[inline]
     fn chunk_len(&self) -> usize {
-        CHUNK_LINES * self.stride
+        1 << self.chunk_shift
+    }
+
+    /// The chunk holding entry `i` and the entry's offset within it.
+    #[inline]
+    fn locate(&self, i: usize) -> (usize, usize) {
+        (i >> self.chunk_shift, i & (self.chunk_len() - 1))
     }
 
     /// Grow to cover `lines` lines (no-op if already that large).
@@ -211,8 +221,9 @@ impl<T: Copy> LineSlab<T> {
     #[inline]
     pub fn get(&self, i: usize) -> T {
         debug_assert!(i < self.len);
-        match &self.chunks[i / self.chunk_len()] {
-            Some(c) => c[i % self.chunk_len()],
+        let (chunk, within) = self.locate(i);
+        match &self.chunks[chunk] {
+            Some(c) => c[within],
             None => self.fill,
         }
     }
@@ -222,9 +233,10 @@ impl<T: Copy> LineSlab<T> {
     pub fn get_mut(&mut self, i: usize) -> &mut T {
         debug_assert!(i < self.len);
         let cl = self.chunk_len();
-        let (fill, chunk) = (self.fill, &mut self.chunks[i / cl]);
+        let (chunk, within) = self.locate(i);
+        let (fill, chunk) = (self.fill, &mut self.chunks[chunk]);
         let c = chunk.get_or_insert_with(|| vec![fill; cl].into_boxed_slice());
-        &mut c[i % cl]
+        &mut c[within]
     }
 
     /// Copy entries `[start, start + out.len())` into `out`, reading the
@@ -234,10 +246,9 @@ impl<T: Copy> LineSlab<T> {
         let cl = self.chunk_len();
         let mut done = 0;
         while done < out.len() {
-            let i = start + done;
-            let within = i % cl;
+            let (chunk, within) = self.locate(start + done);
             let take = (cl - within).min(out.len() - done);
-            match &self.chunks[i / cl] {
+            match &self.chunks[chunk] {
                 Some(c) => out[done..done + take].copy_from_slice(&c[within..within + take]),
                 None => out[done..done + take].fill(self.fill),
             }
@@ -288,11 +299,9 @@ impl<T: Copy> LineSlab<T> {
         let fill = self.fill;
         let mut done = 0;
         while done < len {
-            let i = start + done;
-            let within = i % cl;
+            let (chunk, within) = self.locate(start + done);
             let take = (cl - within).min(len - done);
-            let chunk =
-                self.chunks[i / cl].get_or_insert_with(|| vec![fill; cl].into_boxed_slice());
+            let chunk = self.chunks[chunk].get_or_insert_with(|| vec![fill; cl].into_boxed_slice());
             f(done, &mut chunk[within..within + take]);
             done += take;
         }
@@ -390,10 +399,19 @@ impl LineBitmap {
         None
     }
 
-    /// Set every bit in `[start, start + len)`.
+    /// Set every bit in `[start, start + len)`, a word at a time.
     pub fn set_range(&mut self, start: usize, len: usize) {
-        for i in start..start + len {
-            self.set(i);
+        debug_assert!(start + len <= self.lines);
+        let end = start + len;
+        let mut i = start;
+        while i < end {
+            let w = i / 64;
+            let lo = i % 64;
+            let hi = (end - w * 64).min(64);
+            let mask = if hi == 64 { !0u64 << lo } else { ((1u64 << hi) - 1) & (!0u64 << lo) };
+            self.ones += (mask & !self.words[w]).count_ones() as usize;
+            self.words[w] |= mask;
+            i = (w + 1) * 64;
         }
     }
 

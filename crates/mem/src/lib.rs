@@ -35,7 +35,7 @@ pub use cache::{AccessResult, Cache, CacheConfig, CacheStats, Hierarchy, MemWrit
 pub use dram::{Dir, Dram, DramAccess, DramConfig, DramResult};
 pub use line::{
     classify_change, lines_as_bytes, lines_as_bytes_mut, lines_for_bytes, Addr, ByteChange,
-    LineData, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES,
+    LineData, LineLenError, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES,
 };
 pub use region::{Region, RegionId, RegionMap};
 pub use remap::{RemapError, RemapSnapshot, RemapTable};

@@ -85,6 +85,34 @@ pub fn lines_as_bytes_mut(lines: &mut [LineData]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(lines.as_mut_ptr().cast(), lines.len() * LINE_BYTES) }
 }
 
+/// A byte slice that is not one cache line long, refused by
+/// `LineData::try_from(&[u8])`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineLenError {
+    /// The slice's length in bytes.
+    pub len: usize,
+}
+
+impl fmt::Display for LineLenError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} bytes, not {LINE_BYTES}", self.len)
+    }
+}
+
+impl std::error::Error for LineLenError {}
+
+/// The one checked way from decoded bytes to a line: snapshot decoders
+/// turn a wrong-length line into a typed error instead of a panic.
+impl TryFrom<&[u8]> for LineData {
+    type Error = LineLenError;
+
+    fn try_from(bytes: &[u8]) -> Result<Self, LineLenError> {
+        <[u8; LINE_BYTES]>::try_from(bytes)
+            .map(LineData)
+            .map_err(|_| LineLenError { len: bytes.len() })
+    }
+}
+
 impl Default for LineData {
     fn default() -> Self {
         LineData([0u8; LINE_BYTES])

@@ -6,11 +6,10 @@
 //!   arithmetic shared by every model in the workspace;
 //! - [`Engine`] / [`Model`] / [`Scheduler`]: a deterministic typed-event
 //!   discrete-event engine (FIFO tie-breaking, causality-checked);
-//! - [`SerialServer`] / [`BoundedServer`] / [`IntervalSet`]: queueing
-//!   primitives for serial buses (CXL is a serial link), bounded pending
-//!   queues (the 128-entry CXL controller queue), and exposed-vs-overlapped
-//!   time accounting (the paper's "communication time exposed to the
-//!   critical path");
+//! - [`SerialServer`] / [`BoundedServer`]: queueing primitives for serial
+//!   buses (CXL is a serial link) and bounded pending queues (the
+//!   128-entry CXL controller queue), which take a run of equal jobs in
+//!   closed form;
 //! - [`SimRng`]: explicitly-seeded, forkable randomness so every experiment
 //!   is reproducible;
 //! - [`stats`]: online statistics collectors.
@@ -30,8 +29,7 @@ pub mod time;
 pub use engine::{Engine, EngineState, Model, Scheduler, SchedulerState};
 pub use hash::{fnv_fold, FNV_SEED};
 pub use resource::{
-    BoundedServer, BoundedServerSnapshot, Interval, IntervalSet, IntervalSetSnapshot, SerialServer,
-    SerialServerSnapshot,
+    BoundedServer, BoundedServerSnapshot, Interval, SerialServer, SerialServerSnapshot,
 };
 pub use rng::SimRng;
 pub use snapshot::{

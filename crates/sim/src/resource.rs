@@ -1,8 +1,8 @@
 //! Queueing-theory building blocks used by the interconnect and compute
 //! models: a FIFO serial server (a link is a serial bus — the paper's CXL
-//! emulator streams cache lines "one after another"), a bounded pending
-//! queue (the 128-entry CXL controller queue), and busy-interval sets for
-//! exposed-vs-overlapped time accounting.
+//! emulator streams cache lines "one after another") and a bounded pending
+//! queue (the 128-entry CXL controller queue) that can take a whole run of
+//! equal jobs in closed form.
 
 use crate::time::{Bandwidth, SimTime};
 use serde::{Deserialize, Serialize};
@@ -46,6 +46,10 @@ pub struct SerialServer {
     bytes_served: u64,
     jobs: u64,
     last_ready: SimTime,
+    /// The last `(bytes, service time)` pair priced: a stream of equal
+    /// jobs pays the floating-point division in [`Bandwidth::transfer_time`]
+    /// once. Derived from `rate` alone, so it is never captured.
+    priced: (u64, SimTime),
 }
 
 impl SerialServer {
@@ -58,6 +62,7 @@ impl SerialServer {
             bytes_served: 0,
             jobs: 0,
             last_ready: SimTime::ZERO,
+            priced: (0, SimTime::ZERO),
         }
     }
 
@@ -83,6 +88,26 @@ impl SerialServer {
         bytes: u64,
         latency: SimTime,
     ) -> Interval {
+        let service = self.service_time(bytes);
+        self.serve(ready, bytes, service, latency)
+    }
+
+    /// Service time of a `bytes` job at this server's rate.
+    fn service_time(&mut self, bytes: u64) -> SimTime {
+        if self.priced.0 != bytes {
+            self.priced = (bytes, self.rate.transfer_time(bytes));
+        }
+        self.priced.1
+    }
+
+    /// Serve one job whose service time the caller already priced.
+    fn serve(
+        &mut self,
+        ready: SimTime,
+        bytes: u64,
+        service: SimTime,
+        latency: SimTime,
+    ) -> Interval {
         assert!(
             ready >= self.last_ready,
             "SerialServer requires nondecreasing ready times ({ready} < {})",
@@ -90,7 +115,6 @@ impl SerialServer {
         );
         self.last_ready = ready;
         let start = (ready + latency).max(self.next_free);
-        let service = self.rate.transfer_time(bytes);
         let end = start + service;
         self.next_free = end;
         self.busy += service;
@@ -142,6 +166,7 @@ impl SerialServer {
             bytes_served: s.bytes_served,
             jobs: s.jobs,
             last_ready: s.last_ready,
+            priced: (0, SimTime::ZERO),
         }
     }
 }
@@ -205,6 +230,140 @@ impl BoundedServer {
         bytes: u64,
         latency: SimTime,
     ) -> (SimTime, Interval) {
+        let service = self.server.service_time(bytes);
+        self.admit(ready, bytes, service, latency)
+    }
+
+    /// Submit a run of `n` equal jobs of `bytes`, all ready at `ready` with
+    /// the same pipeline `latency`. The queue, server and counters end
+    /// exactly as `n` calls of [`submit_with_latency`](Self::submit_with_latency)
+    /// leave them; the return value is the run's wire span, from the first
+    /// job's start to the last job's end (`None` for an empty run).
+    ///
+    /// Jobs go one at a time until the queue is full of completions at
+    /// least one service time apart and in steady state: at once when an
+    /// earlier run of the same jobs left it so, else within about two
+    /// queue lengths. The rest is closed form, so a run costs
+    /// O(min(n, capacity)). In steady state every job waits for the oldest
+    /// entry, and the window of in-flight completions repeats one period
+    /// `P` later every `capacity` jobs: `P = capacity · service` when the
+    /// wire is the bottleneck (jobs go back to back), `P = latency +
+    /// service` when the pipeline latency is. Zero-byte jobs never reach
+    /// steady state and go one at a time.
+    pub fn submit_run(
+        &mut self,
+        ready: SimTime,
+        n: u64,
+        bytes: u64,
+        latency: SimTime,
+    ) -> Option<Interval> {
+        if n == 0 {
+            return None;
+        }
+        let service = self.server.service_time(bytes);
+        let (_, first) = self.admit(ready, bytes, service, latency);
+        let mut last = first;
+        let cap = self.capacity as u64;
+        for done in 1..n {
+            // Completions this run pushed are a service time apart; once a
+            // full queue holds only those, or a scan finds the ones an
+            // earlier run left spaced the same, steadiness is decidable
+            // from the span alone.
+            let spaced = done >= cap || (done == 1 && n - done > cap && self.spaced(service));
+            if spaced && self.steady(service, latency) {
+                last = self.close_run(ready, n - done, bytes, service, latency);
+                break;
+            }
+            last = self.admit(ready, bytes, service, latency).1;
+        }
+        Some(Interval { start: first.start, end: last.end })
+    }
+
+    /// Are the in-flight completions at least `service` apart?
+    fn spaced(&self, service: SimTime) -> bool {
+        let (a, b) = self.completions.as_slices();
+        let mut prev: Option<SimTime> = None;
+        a.iter().chain(b).all(|&t| {
+            let ok = prev.is_none_or(|p| t >= p + service);
+            prev = Some(t);
+            ok
+        })
+    }
+
+    /// The window period of a steady run: how far the in-flight
+    /// completions move every `capacity` jobs.
+    fn period(&self, service: SimTime, latency: SimTime) -> SimTime {
+        (service * self.capacity as u64).max(latency + service)
+    }
+
+    /// Is a full queue of the current run's completions in steady state?
+    /// Completions of one run are at least `service` apart, so in the
+    /// wire-bound regime a span of exactly `(capacity − 1) · service`
+    /// means back to back; in the latency-bound regime a span within the
+    /// latency means every next job starts `latency` after the entry it
+    /// waited for.
+    fn steady(&self, service: SimTime, latency: SimTime) -> bool {
+        let (Some(&front), Some(&back)) = (self.completions.front(), self.completions.back())
+        else {
+            return false;
+        };
+        if service == SimTime::ZERO || self.completions.len() != self.capacity {
+            return false;
+        }
+        let span = back - front;
+        if latency + service <= service * self.capacity as u64 {
+            span == service * (self.capacity as u64 - 1)
+        } else {
+            span <= latency
+        }
+    }
+
+    /// Charge the last `m` jobs of a steady run in closed form. With the
+    /// window `w` and period `P`, job `j` waits for `w[j % cap] + (j / cap)·P`
+    /// and ends one period later. Returns the last job's service interval.
+    fn close_run(
+        &mut self,
+        ready: SimTime,
+        m: u64,
+        bytes: u64,
+        service: SimTime,
+        latency: SimTime,
+    ) -> Interval {
+        let cap = self.capacity as u64;
+        let period = self.period(service, latency);
+        let (cycles, rem) = (m / cap, (m % cap) as usize);
+        // Producer stall: Σ_j (w[j % cap] + (j / cap)·P − ready).
+        let window: u128 = self.completions.iter().map(|t| t.as_ps() as u128).sum();
+        let head: u128 = self.completions.iter().take(rem).map(|t| t.as_ps() as u128).sum();
+        let (c, p) = (cycles as u128, period.as_ps() as u128);
+        let waits =
+            c * window + head + p * (cap as u128 * c * c.saturating_sub(1) / 2 + rem as u128 * c);
+        self.stall += SimTime::from_ps((waits - m as u128 * ready.as_ps() as u128) as u64);
+        // The window after the run: entry `i` is `w[(m + i) % cap]` moved
+        // `(m + i) / cap` periods on.
+        self.completions.rotate_left(rem);
+        let wrap = self.capacity - rem;
+        for (i, t) in self.completions.iter_mut().enumerate() {
+            *t += period * (cycles + u64::from(i >= wrap));
+        }
+        let end = *self.completions.back().expect("a steady queue is full");
+        let s = &mut self.server;
+        s.last_ready = end - period;
+        s.next_free = end;
+        s.busy += service * m;
+        s.bytes_served += bytes * m;
+        s.jobs += m;
+        Interval { start: end - service, end }
+    }
+
+    /// Admit one priced job through the pending queue and serve it.
+    fn admit(
+        &mut self,
+        ready: SimTime,
+        bytes: u64,
+        service: SimTime,
+        latency: SimTime,
+    ) -> (SimTime, Interval) {
         // Drop entries that have certainly drained by `ready`.
         while let Some(&front) = self.completions.front() {
             if front <= ready {
@@ -232,7 +391,7 @@ impl BoundedServer {
                 break;
             }
         }
-        let iv = self.server.submit_with_latency(admitted, bytes, latency);
+        let iv = self.server.serve(admitted, bytes, service, latency);
         self.completions.push_back(iv.end);
         self.max_occupancy = self.max_occupancy.max(self.completions.len());
         (admitted, iv)
@@ -291,123 +450,9 @@ pub struct BoundedServerSnapshot {
     pub max_occupancy: u64,
 }
 
-/// A set of busy intervals with union/intersection measures. Used to compute
-/// "communication time exposed to the critical path": the part of the link's
-/// busy time not covered by compute busy time.
-#[derive(Debug, Clone, Default)]
-pub struct IntervalSet {
-    /// Disjoint, sorted intervals.
-    ivs: Vec<Interval>,
-}
-
-impl IntervalSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build from arbitrary (possibly overlapping, unsorted) intervals.
-    pub fn from_intervals<I: IntoIterator<Item = Interval>>(iter: I) -> Self {
-        let mut s = Self::new();
-        for iv in iter {
-            s.add(iv);
-        }
-        s
-    }
-
-    /// Insert an interval, merging overlaps.
-    pub fn add(&mut self, iv: Interval) {
-        if iv.is_empty() {
-            return;
-        }
-        // Binary search for insertion point by start.
-        let pos = self.ivs.partition_point(|x| x.end < iv.start);
-        let mut merged = iv;
-        let mut end_pos = pos;
-        while end_pos < self.ivs.len() && self.ivs[end_pos].start <= merged.end {
-            merged.start = merged.start.min(self.ivs[end_pos].start);
-            merged.end = merged.end.max(self.ivs[end_pos].end);
-            end_pos += 1;
-        }
-        self.ivs.splice(pos..end_pos, [merged]);
-    }
-
-    /// Total measure of the set.
-    pub fn total(&self) -> SimTime {
-        self.ivs.iter().map(Interval::len).sum()
-    }
-
-    /// Number of disjoint intervals.
-    pub fn len(&self) -> usize {
-        self.ivs.len()
-    }
-    /// True if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ivs.is_empty()
-    }
-    /// The disjoint intervals, sorted.
-    pub fn intervals(&self) -> &[Interval] {
-        &self.ivs
-    }
-
-    /// Measure of `self ∩ other`.
-    pub fn intersection_measure(&self, other: &IntervalSet) -> SimTime {
-        let mut total = SimTime::ZERO;
-        let (mut i, mut j) = (0, 0);
-        while i < self.ivs.len() && j < other.ivs.len() {
-            let a = self.ivs[i];
-            let b = other.ivs[j];
-            let lo = a.start.max(b.start);
-            let hi = a.end.min(b.end);
-            if lo < hi {
-                total += hi - lo;
-            }
-            if a.end <= b.end {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        total
-    }
-
-    /// Measure of `self \ other` — e.g. link-busy time *not* hidden behind
-    /// compute: the exposed communication time of the paper's Table I.
-    pub fn difference_measure(&self, other: &IntervalSet) -> SimTime {
-        self.total() - self.intersection_measure(other)
-    }
-
-    /// Latest end time in the set (ZERO when empty).
-    pub fn span_end(&self) -> SimTime {
-        self.ivs.last().map_or(SimTime::ZERO, |iv| iv.end)
-    }
-
-    /// Capture the disjoint interval list for a checkpoint.
-    pub fn snapshot(&self) -> IntervalSetSnapshot {
-        IntervalSetSnapshot { ivs: self.ivs.iter().map(|iv| (iv.start, iv.end)).collect() }
-    }
-
-    /// Rebuild a set from a snapshot. The captured list is already disjoint
-    /// and sorted, so this is a straight reload.
-    pub fn restore(s: &IntervalSetSnapshot) -> Self {
-        IntervalSet { ivs: s.ivs.iter().map(|&(start, end)| Interval::new(start, end)).collect() }
-    }
-}
-
-/// Serializable image of an [`IntervalSet`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IntervalSetSnapshot {
-    /// Disjoint `(start, end)` pairs, sorted by start.
-    pub ivs: Vec<(SimTime, SimTime)>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ns(a: u64, b: u64) -> Interval {
-        Interval::new(SimTime::from_ns(a), SimTime::from_ns(b))
-    }
 
     #[test]
     fn serial_server_fifo_backlog() {
@@ -471,56 +516,75 @@ mod tests {
         assert_eq!(q.stall_time(), SimTime::ZERO);
     }
 
-    #[test]
-    fn interval_set_merging() {
-        let mut s = IntervalSet::new();
-        s.add(ns(0, 10));
-        s.add(ns(20, 30));
-        s.add(ns(5, 25)); // bridges both
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.total(), SimTime::from_ns(30));
-        s.add(ns(40, 40)); // empty is a no-op
-        assert_eq!(s.len(), 1);
+    /// `n` single submissions of one run, with the span they cover.
+    fn singles(
+        q: &mut BoundedServer,
+        ready: SimTime,
+        n: u64,
+        bytes: u64,
+        lat: SimTime,
+    ) -> Interval {
+        let ivs: Vec<Interval> =
+            (0..n).map(|_| q.submit_with_latency(ready, bytes, lat).1).collect();
+        Interval { start: ivs[0].start, end: ivs[n as usize - 1].end }
     }
 
     #[test]
-    fn interval_set_adjacent_intervals_merge() {
-        let mut s = IntervalSet::new();
-        s.add(ns(0, 10));
-        s.add(ns(10, 20));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.total(), SimTime::from_ns(20));
+    fn bounded_run_matches_single_submissions_in_both_regimes() {
+        // Wire-bound (latency hidden behind the queue) and latency-bound
+        // (a 1-entry queue waits out the pipeline latency every job), from
+        // an empty queue and from one a previous burst left half full.
+        let rate = Bandwidth::from_gb_per_sec(16.0);
+        for cap in [1usize, 2, 3, 8] {
+            for lat_ns in [0u64, 1, 7, 40] {
+                for prefill in [0u64, 5] {
+                    for n in [1u64, 2, 9, 40, 333] {
+                        let lat = SimTime::from_ns(lat_ns);
+                        let mut a = BoundedServer::new(rate, cap);
+                        for _ in 0..prefill {
+                            a.submit_with_latency(SimTime::ZERO, 48, lat);
+                        }
+                        let mut b = a.clone();
+                        let ready = SimTime::from_ns(3);
+                        let want = singles(&mut a, ready, n, 64, lat);
+                        let got = b.submit_run(ready, n, 64, lat).expect("non-empty run");
+                        let at = format!("cap {cap} lat {lat_ns} prefill {prefill} n {n}");
+                        assert_eq!(got, want, "{at}");
+                        assert_eq!(b.snapshot(), a.snapshot(), "{at}");
+                        // A second run picks up the window the first left.
+                        let want = singles(&mut a, ready, n, 64, lat);
+                        let got = b.submit_run(ready, n, 64, lat).expect("non-empty run");
+                        assert_eq!(got, want, "{at}, second run");
+                        assert_eq!(b.snapshot(), a.snapshot(), "{at}, second run");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn interval_set_out_of_order_insertion() {
-        let mut s = IntervalSet::new();
-        s.add(ns(50, 60));
-        s.add(ns(0, 10));
-        s.add(ns(30, 40));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.total(), SimTime::from_ns(30));
-        assert_eq!(s.span_end(), SimTime::from_ns(60));
+    fn bounded_run_checks_the_spacing_of_a_window_it_did_not_fill() {
+        // Two short jobs queued behind a pipeline latency leave completions
+        // 1 ns apart and within the run's latency of its first end: the
+        // span test passes, but only jobs a service time apart repeat.
+        let rate = Bandwidth::from_gb_per_sec(16.0);
+        let lat = SimTime::from_ns(100);
+        let mut a = BoundedServer::new(rate, 3);
+        for _ in 0..2 {
+            a.submit_with_latency(SimTime::ZERO, 16, SimTime::from_ns(50));
+        }
+        let mut b = a.clone();
+        let want = singles(&mut a, SimTime::ZERO, 10, 64, lat);
+        assert_eq!(b.submit_run(SimTime::ZERO, 10, 64, lat), Some(want));
+        assert_eq!(b.snapshot(), a.snapshot());
     }
 
     #[test]
-    fn exposed_time_accounting() {
-        // Link busy 0..40; compute busy 10..30 → 20 ns exposed.
-        let link = IntervalSet::from_intervals([ns(0, 40)]);
-        let compute = IntervalSet::from_intervals([ns(10, 30)]);
-        assert_eq!(link.intersection_measure(&compute), SimTime::from_ns(20));
-        assert_eq!(link.difference_measure(&compute), SimTime::from_ns(20));
-        // Fully hidden case.
-        let compute_all = IntervalSet::from_intervals([ns(0, 100)]);
-        assert_eq!(link.difference_measure(&compute_all), SimTime::ZERO);
-    }
-
-    #[test]
-    fn intersection_multiple_fragments() {
-        let a = IntervalSet::from_intervals([ns(0, 10), ns(20, 30), ns(40, 50)]);
-        let b = IntervalSet::from_intervals([ns(5, 25), ns(45, 60)]);
-        // overlaps: [5,10)=5, [20,25)=5, [45,50)=5
-        assert_eq!(a.intersection_measure(&b), SimTime::from_ns(15));
-        assert_eq!(b.intersection_measure(&a), SimTime::from_ns(15));
+    fn empty_run_changes_nothing() {
+        let mut q = BoundedServer::new(Bandwidth::from_gb_per_sec(16.0), 4);
+        q.submit(SimTime::from_ns(9), 64);
+        let before = q.snapshot();
+        assert_eq!(q.submit_run(SimTime::ZERO, 0, 64, SimTime::ZERO), None);
+        assert_eq!(q.snapshot(), before);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
 use proptest::prelude::*;
-use teco_sim::{Bandwidth, Engine, Interval, IntervalSet, Model, Scheduler, SerialServer, SimTime};
+use teco_sim::{Bandwidth, Engine, Model, Scheduler, SerialServer, SimTime};
 
 proptest! {
     /// Transfer time is monotone in payload size and additive under FIFO
@@ -40,47 +40,6 @@ proptest! {
             prop_assert!(iv.start >= prev_end);
             prev_end = iv.end;
         }
-    }
-
-    /// IntervalSet union measure is subadditive and exact for disjoint input;
-    /// intersection with self is identity.
-    #[test]
-    fn interval_set_measures(
-        raw in prop::collection::vec((0u64..10_000, 1u64..500), 0..60),
-    ) {
-        let ivs: Vec<Interval> = raw
-            .iter()
-            .map(|&(s, l)| Interval::new(SimTime::from_ns(s), SimTime::from_ns(s + l)))
-            .collect();
-        let set = IntervalSet::from_intervals(ivs.iter().copied());
-        let sum: SimTime = ivs.iter().map(|iv| iv.len()).sum();
-        prop_assert!(set.total() <= sum);
-        prop_assert_eq!(set.intersection_measure(&set), set.total());
-        prop_assert_eq!(set.difference_measure(&set), SimTime::ZERO);
-        // Intervals in the set are sorted, disjoint, non-adjacent.
-        for w in set.intervals().windows(2) {
-            prop_assert!(w[0].end < w[1].start);
-        }
-    }
-
-    /// intersection(a, b) is symmetric and bounded by both measures.
-    #[test]
-    fn interval_set_intersection_symmetric(
-        raw_a in prop::collection::vec((0u64..5_000, 1u64..300), 0..40),
-        raw_b in prop::collection::vec((0u64..5_000, 1u64..300), 0..40),
-    ) {
-        let mk = |raw: &[(u64, u64)]| {
-            IntervalSet::from_intervals(raw.iter().map(|&(s, l)| {
-                Interval::new(SimTime::from_ns(s), SimTime::from_ns(s + l))
-            }))
-        };
-        let a = mk(&raw_a);
-        let b = mk(&raw_b);
-        let ab = a.intersection_measure(&b);
-        prop_assert_eq!(ab, b.intersection_measure(&a));
-        prop_assert!(ab <= a.total());
-        prop_assert!(ab <= b.total());
-        prop_assert_eq!(a.difference_measure(&b) + ab, a.total());
     }
 
     /// The event engine delivers every scheduled event exactly once, in
