@@ -3,8 +3,7 @@
 //! whether the chunk-granular timing path matches a per-line replay.
 
 use crate::{dump_json, f, header, row, Outcome};
-use teco_cxl::controller::{run_controller, LineRequest};
-use teco_cxl::{CxlConfig, PcieGen};
+use teco_cxl::{CxlConfig, CxlLink, Direction, PcieGen};
 use teco_dl::ModelSpec;
 use teco_mem::{Addr, ChunkedSweep, Hierarchy, SweepGen, LINE_BYTES};
 use teco_offload::convergence::{run, ConvergenceConfig, DbaSchedule};
@@ -291,8 +290,9 @@ pub fn baselines_comparison() -> Outcome {
 /// *writeback trace* and replays it through the CXL emulator. We do the
 /// same at reduced scale — drive a real vectorized-ADAM access sweep
 /// through the Table II cache hierarchy, replay the resulting per-line
-/// writebacks through the event-driven CXL controller — and compare the
-/// exposed transfer time against the chunk-granular fast path the big
+/// writebacks one transfer each through the [`CxlLink`] every session
+/// charges (serial wire behind the 128-entry pending queue) — and compare
+/// the exposed transfer time against the chunk-granular fast path the big
 /// simulations use.
 pub fn trace_replay_validation() -> Outcome {
     let cal = Calibration::paper();
@@ -309,7 +309,7 @@ pub fn trace_replay_validation() -> Outcome {
     for mb in [8u64, 32, 128, 256] {
         let bytes = mb << 20;
         // Per-line path: ADAM sweep through the gem5 hierarchy → writeback
-        // trace → DES controller.
+        // trace → one link transfer per line.
         let mut h = Hierarchy::gem5();
         // ADAM touches `adam_bytes_per_param` per 4-byte parameter; the
         // sweep's line-store rate is cpu_mem_bw scaled to the parameter-byte
@@ -317,19 +317,11 @@ pub fn trace_replay_validation() -> Outcome {
         let rate = cal.cpu_mem_bw.scaled(4.0 / cal.adam_bytes_per_param as f64);
         let sweep = SweepGen { base: Addr(0), bytes, update_rate: rate, start: SimTime::ZERO };
         let trace = sweep.writeback_trace(&mut h);
-        let reqs: Vec<LineRequest> = trace
-            .events
-            .iter()
-            .enumerate()
-            .map(|(id, w)| LineRequest { id, ready: w.time, bytes: LINE_BYTES as u64 })
-            .collect();
-        let des = match run_controller(&cfg, reqs, SimTime::ZERO) {
-            Ok(r) => r,
-            Err(e) => {
-                let why = format!("controller replay failed for {mb} MB region: {e}");
-                return Outcome::default().gate(&[why]);
-            }
-        };
+        let mut replay = CxlLink::new(cfg);
+        for w in &trace.events {
+            replay.transfer_simple(Direction::ToDevice, w.time, LINE_BYTES as u64);
+        }
+        let drain = replay.drained_at(Direction::ToDevice);
 
         // Chunked fast path at the same production rate.
         let chunked = ChunkedSweep {
@@ -343,15 +335,15 @@ pub fn trace_replay_validation() -> Outcome {
             link.submit(c.ready, c.bytes);
         }
         let fast = link.next_free();
-        let err = 100.0 * (des.drain.as_secs_f64() - fast.as_secs_f64()).abs() / fast.as_secs_f64();
+        let err = 100.0 * (drain.as_secs_f64() - fast.as_secs_f64()).abs() / fast.as_secs_f64();
         row(&[
             mb.to_string(),
             trace.len().to_string(),
-            f(des.drain.as_millis_f64()),
+            f(drain.as_millis_f64()),
             f(fast.as_millis_f64()),
             f(err),
         ]);
-        out.push((mb, des.drain.as_millis_f64(), fast.as_millis_f64(), err));
+        out.push((mb, drain.as_millis_f64(), fast.as_millis_f64(), err));
     }
     println!("\nthe error is the end-of-iteration flush tail: lines still resident in the");
     println!("16 MB L3 when the sweep ends can only drain afterwards (the paper's");

@@ -120,6 +120,9 @@ impl TecoConfig {
         if self.giant_cache_bytes == 0 {
             return Err("giant cache capacity must be nonzero".into());
         }
+        if self.cxl.pending_queue_entries == 0 {
+            return Err("the CXL pending queue needs at least one entry".into());
+        }
         self.ras.validate()?;
         self.placement.validate()?;
         Ok(())

@@ -1048,7 +1048,7 @@ impl TecoSession {
             aggregator: Aggregator::restore(&s.aggregator),
             giant_cache: GiantCache::restore(&s.giant_cache),
             coherence: CoherenceEngine::restore(&s.coherence),
-            link: CxlLink::restore(&s.link),
+            link: CxlLink::restore(&s.link).map_err(SessionError::Config)?,
             fence: CxlFence::from_stats(s.fence),
             dba_active: s.dba_active,
             stats: s.stats,
@@ -1764,6 +1764,23 @@ mod tests {
         let mut snap = tiered_snapshot();
         snap.placement.as_mut().unwrap().arbiter.n = 0;
         assert!(matches!(TecoSession::from_snapshot(&snap), Err(SessionError::Config(_))));
+    }
+
+    #[test]
+    fn new_rejects_a_link_without_pending_queue_entries() {
+        let mut cfg = TecoConfig::default().with_giant_cache_bytes(1 << 20);
+        cfg.cxl.pending_queue_entries = 0;
+        let err = TecoSession::new(cfg).expect_err("a queue without entries is rejected");
+        assert!(matches!(&err, SessionError::Config(m) if m.contains("pending queue")), "{err}");
+    }
+
+    #[test]
+    fn from_snapshot_rejects_a_link_queue_without_entries() {
+        let cfg = TecoConfig::default().with_giant_cache_bytes(1 << 20);
+        let mut snap = TecoSession::new(cfg).unwrap().snapshot();
+        snap.link.to_device.server.capacity = 0;
+        let err = TecoSession::from_snapshot(&snap).expect_err("a queue without entries");
+        assert!(matches!(&err, SessionError::Config(m) if m.contains("no entries")), "{err}");
     }
 
     #[test]

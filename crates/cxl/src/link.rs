@@ -47,12 +47,12 @@ impl Channel {
         }
     }
 
-    fn restore(s: &ChannelSnapshot) -> Self {
-        Channel {
-            server: BoundedServer::restore(&s.server),
+    fn restore(s: &ChannelSnapshot) -> Result<Self, String> {
+        Ok(Channel {
+            server: BoundedServer::restore(&s.server)?,
             payload_bytes: s.payload_bytes,
             replay_bytes: s.replay_bytes,
-        }
+        })
     }
 }
 
@@ -351,15 +351,16 @@ impl CxlLink {
         }
     }
 
-    /// Rebuild a link from a snapshot.
-    pub fn restore(s: &CxlLinkSnapshot) -> Self {
-        CxlLink {
+    /// Rebuild a link from a snapshot. A channel whose pending queue has no
+    /// entries is an error.
+    pub fn restore(s: &CxlLinkSnapshot) -> Result<Self, String> {
+        Ok(CxlLink {
             cfg: s.cfg,
-            to_device: Channel::restore(&s.to_device),
-            to_host: Channel::restore(&s.to_host),
+            to_device: Channel::restore(&s.to_device)?,
+            to_host: Channel::restore(&s.to_host)?,
             injector: s.injector.as_ref().map(FaultInjector::restore),
             fstats: s.fstats,
-        }
+        })
     }
 }
 

@@ -422,16 +422,19 @@ impl BoundedServer {
         }
     }
 
-    /// Rebuild a bounded server from a snapshot.
-    pub fn restore(s: &BoundedServerSnapshot) -> Self {
-        assert!(s.capacity > 0, "queue capacity must be positive");
-        BoundedServer {
+    /// Rebuild a bounded server from a snapshot. A snapshot of a queue
+    /// without entries is an error.
+    pub fn restore(s: &BoundedServerSnapshot) -> Result<Self, String> {
+        if s.capacity == 0 {
+            return Err("pending queue snapshot has no entries".into());
+        }
+        Ok(BoundedServer {
             server: SerialServer::restore(&s.server),
             capacity: s.capacity as usize,
             completions: s.completions.iter().copied().collect(),
             stall: s.stall,
             max_occupancy: s.max_occupancy as usize,
-        }
+        })
     }
 }
 

@@ -20,95 +20,11 @@ use teco::dl::{
 };
 use teco::mem::{Addr, LineData};
 use teco::sim::{
-    decode_snapshot, encode_snapshot, snapshot_checksum, Bandwidth, Engine, EngineState, Model,
-    Scheduler, SchedulerState, SimRng, SimTime, SnapshotError, SNAPSHOT_HEADER_BYTES,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_snapshot, encode_snapshot, snapshot_checksum, Bandwidth, SimRng, SimTime, SnapshotError,
+    SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
-/// A model that just records every delivery, in order.
-struct Drain {
-    log: Vec<(u64, u32)>,
-}
-
-impl Model for Drain {
-    type Event = u32;
-    fn handle(&mut self, now: SimTime, event: u32, _sched: &mut Scheduler<u32>) {
-        self.log.push((now.as_ps(), event));
-    }
-}
-
-/// Concrete serde image of an [`EngineState<u32>`] — the generic parts
-/// structs carry no serde impls by design; callers embed the triples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CalendarSnapshot {
-    now_ps: u64,
-    seq: u64,
-    scheduled: u64,
-    processed: u64,
-    entries: Vec<(u64, u64, u32)>,
-}
-
-impl CalendarSnapshot {
-    fn of(state: &EngineState<u32>) -> Self {
-        CalendarSnapshot {
-            now_ps: state.sched.now.as_ps(),
-            seq: state.sched.seq,
-            scheduled: state.sched.scheduled,
-            processed: state.processed,
-            entries: state.sched.entries.iter().map(|&(t, s, e)| (t.as_ps(), s, e)).collect(),
-        }
-    }
-
-    fn into_state(self) -> EngineState<u32> {
-        EngineState {
-            sched: SchedulerState {
-                now: SimTime::from_ps(self.now_ps),
-                seq: self.seq,
-                scheduled: self.scheduled,
-                entries: self
-                    .entries
-                    .into_iter()
-                    .map(|(t, s, e)| (SimTime::from_ps(t), s, e))
-                    .collect(),
-            },
-            processed: self.processed,
-        }
-    }
-}
-
 proptest! {
-    /// Snapshot a half-drained event calendar through the full envelope
-    /// (capture → JSON → framed bytes → decode → restore) and require the
-    /// restored engine to deliver the exact remaining event stream.
-    #[test]
-    fn calendar_snapshot_roundtrip_preserves_event_stream(
-        events in prop::collection::vec((0u64..200_000, 0u32..1000), 0..48),
-        drains in 0u64..24,
-    ) {
-        let mut live = Engine::new(Drain { log: Vec::new() });
-        live.prime_batch(events.iter().map(|&(t, e)| (SimTime::from_ps(t), e)));
-        for _ in 0..drains {
-            if !live.step() {
-                break;
-            }
-        }
-
-        // The kill: serialize the calendar, rebuild from nothing but bytes.
-        let bytes = encode_snapshot(&CalendarSnapshot::of(&live.capture()));
-        let snap: CalendarSnapshot = decode_snapshot(&bytes).expect("clean bytes decode");
-        let mut restored = Engine::restore(Drain { log: Vec::new() }, snap.into_state());
-
-        let live_end = live.run();
-        let restored_end = restored.run();
-        prop_assert_eq!(live_end, restored_end);
-        prop_assert_eq!(live.events_processed(), restored.events_processed());
-        // The restored run replays exactly the deliveries the live engine
-        // made *after* the snapshot point.
-        let live_log = &live.model().log;
-        let tail = &live_log[live_log.len() - restored.model().log.len()..];
-        prop_assert_eq!(&restored.model().log[..], tail);
-    }
-
     /// Corrupted snapshot bytes — truncations, bit flips, raw garbage —
     /// must yield a typed [`SnapshotError`] with a usable message; decoding
     /// must never panic and never silently accept damaged state.
