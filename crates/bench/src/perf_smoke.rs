@@ -16,6 +16,10 @@
 //! instead.
 
 use serde::Value;
+use teco_core::{PlacementPolicy, TecoConfig, TecoSession, TieredPolicy};
+use teco_cxl::FaultConfig;
+use teco_mem::{Addr, LineData, LINE_BYTES};
+use teco_sim::{SimRng, SimTime};
 
 const MEDIANS: &str = "bench_results/criterion_medians.json";
 const BASELINE: &str = "bench_results/BENCH.json";
@@ -35,6 +39,7 @@ const TRACKED: &[&str] = &[
     "datapath/checksummed_kernel_2",
     "snapshot_codec/encode",
     "snapshot_codec/decode",
+    "snapshot_codec/round_trip",
 ];
 
 /// (fast, slow, minimum required slow/fast ratio) asserted on the current
@@ -161,4 +166,83 @@ pub fn check() -> bool {
         println!("perf smoke: all checks passed");
     }
     failures.is_empty()
+}
+
+/// A session shaped like the `tiered_ckpt` benchmark workload's at its
+/// checkpoints, the `snapshot_codec` benches' input: 16384 parameter,
+/// 4096 gradient and 2 × 4096 optimizer-moment lines plus a 16-line hot
+/// tensor under the tiered policy, with seeded link faults, after four
+/// steps of gradient, parameter, moment and hot-tensor pushes (DBA active
+/// from step 2).
+pub fn tiered_ckpt_session() -> TecoSession {
+    const PARAM_LINES: usize = 16384;
+    const GRAD_LINES: usize = 4096;
+    const MOMENT_LINES: usize = 4096;
+    const HOT_LINES: usize = 16;
+    let bytes = |lines: usize| (lines * LINE_BYTES) as u64;
+    let policy = TieredPolicy {
+        device_capacity_bytes: 64 << 10,
+        device_size_threshold: bytes(HOT_LINES),
+        host_dram_capacity_bytes: 64 << 20,
+        ..TieredPolicy::default()
+    };
+    let fault = FaultConfig {
+        crc_error_rate: 1e-3,
+        dba_checksum_error_rate: 1e-4,
+        seed: 7,
+        ..FaultConfig::off()
+    };
+    let cfg = TecoConfig::default()
+        .with_act_aft_steps(2)
+        .with_giant_cache_bytes(bytes(PARAM_LINES + GRAD_LINES + MOMENT_LINES))
+        .with_fault(fault)
+        .with_placement(PlacementPolicy::Tiered(policy));
+    let mut s = TecoSession::new(cfg).expect("the shape's config validates");
+    let mut alloc = |name: &str, lines: usize| {
+        s.alloc_tensor(name, bytes(lines)).expect("the shape's tensors fit").1
+    };
+    let tensors = [
+        (alloc("params", PARAM_LINES), PARAM_LINES),
+        (alloc("moment_m", MOMENT_LINES), MOMENT_LINES),
+        (alloc("moment_v", MOMENT_LINES), MOMENT_LINES),
+        (alloc("hot_scale", HOT_LINES), HOT_LINES),
+    ];
+    let grads = alloc("grads", GRAD_LINES);
+    let mut rng = SimRng::seed_from_u64(7);
+    let mut random_lines = |n: usize| {
+        let mut lines = vec![LineData::zeroed(); n];
+        for l in &mut lines {
+            for chunk in l.bytes_mut().chunks_exact_mut(8) {
+                chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+            }
+        }
+        lines
+    };
+    let mut now = SimTime::ZERO;
+    for step in 0..4 {
+        for (i, line) in random_lines(GRAD_LINES).into_iter().enumerate() {
+            s.push_grad_line(Addr(grads.0 + bytes(i)), line, now).expect("grad push");
+        }
+        now = s.cxlfence_grads(now);
+        s.check_activation(step);
+        for &(base, lines) in &tensors {
+            s.push_param_lines(base, &random_lines(lines), now).expect("param push");
+        }
+        now = s.cxlfence_params(now);
+    }
+    s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Snapshot format 2 at least halves the 6.28 MB version-1 checkpoint
+    /// of this shape (≈2.1 MB: its 1.57 MB of written line bytes in
+    /// base64, plus ≈22 KB of the rest).
+    #[test]
+    fn tiered_ckpt_snapshot_encodes_to_at_most_half_of_version_1() {
+        let bytes = teco_sim::encode_snapshot(&tiered_ckpt_session().snapshot());
+        assert!(bytes.len() <= 3_140_000, "{} bytes", bytes.len());
+    }
 }

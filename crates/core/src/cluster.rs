@@ -46,8 +46,8 @@ use teco_cxl::{
     FenceDeadline, HostAccount, HostLinkArbiter, HostLinkArbiterSnapshot, MediaRas,
     MediaRasSnapshot, RasStats,
 };
-use teco_mem::{lines_as_bytes, lines_as_bytes_mut, Addr, LineData, LINE_BYTES};
-use teco_sim::{fnv_fold, Bandwidth, SimRng, SimTime, FNV_SEED};
+use teco_mem::{lines_as_bytes, lines_as_bytes_mut, lines_from_bytes, Addr, LineData, LINE_BYTES};
+use teco_sim::{fnv_fold, Bandwidth, Bytes, SimRng, SimTime, FNV_SEED};
 
 /// Configuration for an N-accelerator cluster.
 #[derive(Debug, Clone)]
@@ -219,29 +219,23 @@ impl CpuPool {
 
     fn snapshot(&self) -> CpuPoolSnapshot {
         CpuPoolSnapshot {
-            params: self.params.iter().map(|l| l.bytes().to_vec()).collect(),
-            grads: self.grads.iter().map(|l| l.bytes().to_vec()).collect(),
+            params: Bytes(lines_as_bytes(&self.params).to_vec()),
+            grads: Bytes(lines_as_bytes(&self.grads).to_vec()),
             reduced_lines: self.reduced_lines,
             updates: self.updates,
         }
     }
 
-    /// Rebuild the pool; a line that is not one cache line long is a
-    /// typed error.
+    /// Rebuild the pool; bytes that are not whole cache lines are a typed
+    /// error.
     fn restore(s: &CpuPoolSnapshot) -> Result<Self, SessionError> {
-        let revive = |what: &str, lines: &[Vec<u8>]| {
-            lines
-                .iter()
-                .enumerate()
-                .map(|(i, bytes)| {
-                    LineData::try_from(bytes.as_slice())
-                        .map_err(|e| SessionError::Config(format!("pool {what} line {i} has {e}")))
-                })
-                .collect::<Result<Vec<_>, _>>()
+        let revive = |what: &str, bytes: &[u8]| {
+            lines_from_bytes(bytes)
+                .map_err(|e| SessionError::Config(format!("pool {what} has {e}")))
         };
         Ok(CpuPool {
-            params: revive("param", &s.params)?,
-            grads: revive("grad", &s.grads)?,
+            params: revive("params", &s.params)?,
+            grads: revive("grads", &s.grads)?,
             reduced_lines: s.reduced_lines,
             updates: s.updates,
         })
@@ -251,10 +245,10 @@ impl CpuPool {
 /// Serialized image of a [`CpuPool`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CpuPoolSnapshot {
-    /// Master parameter lines, in address order.
-    pub params: Vec<Vec<u8>>,
-    /// Gradient-accumulator lines, in address order.
-    pub grads: Vec<Vec<u8>>,
+    /// Master parameter lines' bytes, in address order.
+    pub params: Bytes,
+    /// Gradient-accumulator lines' bytes, in address order.
+    pub grads: Bytes,
     /// Lines reduced so far.
     pub reduced_lines: u64,
     /// Optimizer updates so far.
@@ -1417,7 +1411,7 @@ mod tests {
         c.alloc_grads(2).unwrap();
         let clean = c.snapshot();
         let edits: [fn(&mut ClusterSnapshot); 2] =
-            [|s| s.pool.params[1].truncate(63), |s| s.pool.grads[0].push(0)];
+            [|s| s.pool.params.truncate(127), |s| s.pool.grads.push(0)];
         for (i, edit) in edits.iter().enumerate() {
             let mut s = clean.clone();
             edit(&mut s);

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use teco_cxl::{CollectiveConfig, CollectiveError, PoolCollective, PoolCollectiveSnapshot};
 use teco_mem::LineData;
-use teco_sim::{fnv_fold, SimTime, FNV_SEED};
+use teco_sim::{fnv_fold, Bytes, SimTime, FNV_SEED};
 
 /// Typed failure of the multi-host fabric, carrying host/step/time
 /// context. Wraps the per-host session errors and the collective
@@ -291,7 +291,7 @@ pub struct FabricSnapshot {
     /// Accumulated exchange time.
     pub exchange_time: SimTime,
     /// The latest globally reduced gradient.
-    pub global_grads: Vec<u8>,
+    pub global_grads: Bytes,
     /// Running [`fnv_fold`] over every step's reduced gradient.
     pub grad_checksum: u64,
 }
@@ -355,7 +355,7 @@ impl Driver for FabricDriver {
             collective: self.collective.snapshot(),
             lag: self.lag,
             exchange_time: self.exchange_time,
-            global_grads: self.global_grads.clone(),
+            global_grads: Bytes(self.global_grads.clone()),
             grad_checksum: self.grad_checksum,
         }
     }
@@ -373,7 +373,7 @@ impl Driver for FabricDriver {
             collective: PoolCollective::restore(&s.collective)?,
             lag: s.lag,
             exchange_time: s.exchange_time,
-            global_grads: s.global_grads.clone(),
+            global_grads: s.global_grads.0.clone(),
             grad_checksum: s.grad_checksum,
             staged: Vec::new(),
             ready_buf: Vec::new(),

@@ -37,8 +37,8 @@ use teco_cxl::{
     ChunkedCollective, ChunkedCollectiveSnapshot, ChunkedOp, CollectiveError,
     CollectiveFaultConfig, CollectiveFaultStats, CollectivePhase, HostKill, RasConfig, RasStats,
 };
-use teco_mem::{lines_as_bytes, LineData, LINE_BYTES};
-use teco_sim::{fnv_fold, SimTime, FNV_SEED};
+use teco_mem::{lines_as_bytes, lines_from_bytes, LineData};
+use teco_sim::{fnv_fold, Bytes, SimTime, FNV_SEED};
 
 /// A scheduled host kill: the host stops responding at chunk boundary
 /// `chunk` of phase `phase` of step `step`'s all-reduce.
@@ -231,7 +231,7 @@ struct ChaosState {
     alive: Vec<bool>,
     /// This step's staged accumulators and ready times; a regroup
     /// re-begins the all-reduce from them.
-    staged: Vec<Vec<u8>>,
+    staged: Vec<Bytes>,
     ready: Vec<SimTime>,
     /// The all-reduce in flight between the grad fences and the
     /// broadcast of the current step.
@@ -241,7 +241,7 @@ struct ChaosState {
     grad_checksum: u64,
     param_checksum: u64,
     step_sums: Vec<u64>,
-    global_grads: Vec<u8>,
+    global_grads: Bytes,
     detections: Vec<ChaosDetection>,
     regroups: u64,
     typed_errors: u64,
@@ -255,9 +255,8 @@ struct ChaosState {
 pub struct ChaosSnapshot {
     hosts: Vec<ClusterWorkloadSnapshot>,
     collective: ChunkedCollectiveSnapshot,
-    /// The retained broadcast lines, flattened to bytes (`LineData`
-    /// itself is not serializable).
-    last_params: Vec<u8>,
+    /// The retained broadcast lines' bytes.
+    last_params: Bytes,
     state: ChaosState,
 }
 
@@ -318,7 +317,7 @@ impl ChaosDriver {
     fn begin_step(&mut self) -> Result<(), FabricError> {
         self.maybe_readmit()?;
         let n = self.hosts.len();
-        self.st.staged = vec![Vec::new(); n];
+        self.st.staged = vec![Bytes::default(); n];
         self.st.ready = vec![SimTime::ZERO; n];
         for h in 0..n {
             if self.st.alive[h] {
@@ -376,7 +375,7 @@ impl ChaosDriver {
         self.st.exchange_time += outcome.completion - outcome.start;
         self.st.grad_checksum = fnv_fold(self.st.grad_checksum, &result);
         self.st.step_sums.push(fnv_fold(FNV_SEED, &result));
-        self.st.global_grads = result;
+        self.st.global_grads = Bytes(result);
         for h in 0..self.hosts.len() {
             if self.st.alive[h] {
                 self.hosts[h].check_activation();
@@ -428,7 +427,7 @@ impl Driver for ChaosDriver {
                 grad_checksum: FNV_SEED,
                 param_checksum: FNV_SEED,
                 step_sums: Vec::new(),
-                global_grads: Vec::new(),
+                global_grads: Bytes::default(),
                 detections: Vec::new(),
                 regroups: 0,
                 typed_errors: 0,
@@ -464,13 +463,14 @@ impl Driver for ChaosDriver {
         ChaosSnapshot {
             hosts: self.hosts.iter().map(|d| d.capture()).collect(),
             collective: self.cc.snapshot(),
-            last_params: lines_as_bytes(&self.last_params).to_vec(),
+            last_params: Bytes(lines_as_bytes(&self.last_params).to_vec()),
             state: self.st.clone(),
         }
     }
 
     fn restore(s: &ChaosSnapshot) -> Result<Self, FabricError> {
-        let revive = |c: &[u8]| LineData(c.try_into().expect("chunks_exact yields whole lines"));
+        let last_params = lines_from_bytes(&s.last_params)
+            .map_err(|e| Self::invalid(format!("retained params have {e}")))?;
         Ok(ChaosDriver {
             hosts: s
                 .hosts
@@ -478,7 +478,7 @@ impl Driver for ChaosDriver {
                 .map(ClusterDriver::restore)
                 .collect::<Result<Vec<_>, SessionError>>()?,
             cc: ChunkedCollective::restore(&s.collective)?,
-            last_params: s.last_params.chunks_exact(LINE_BYTES).map(revive).collect(),
+            last_params,
             st: s.state.clone(),
         })
     }

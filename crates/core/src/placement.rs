@@ -36,8 +36,8 @@ use teco_mem::tier::{
     HeatTracker, MigrationPlan, MigrationPlanner, PlacementMap, PlannerConfig, Tier,
     TierCapacities, TierError,
 };
-use teco_mem::{Addr, LineData, LINE_BYTES};
-use teco_sim::{Bandwidth, Interval, SimTime};
+use teco_mem::{line_runs, lines_from_runs, Addr, LineData, LINE_BYTES};
+use teco_sim::{Bandwidth, Bytes, Interval, SimTime};
 
 /// Tensor classes the policy distinguishes (classified from the region
 /// name the framework allocates with).
@@ -400,9 +400,6 @@ impl PlacementEngine {
     /// Checkpoint image; the store is sorted so the encoding is
     /// deterministic.
     pub fn snapshot(&self) -> PlacementEngineSnapshot {
-        let mut store: Vec<(u64, Vec<u8>)> =
-            self.store.iter().map(|(&a, l)| (a, l.bytes().to_vec())).collect();
-        store.sort_unstable_by_key(|(a, _)| *a);
         PlacementEngineSnapshot {
             policy: self.policy.clone(),
             map: self.map.clone(),
@@ -411,7 +408,7 @@ impl PlacementEngine {
             arbiter: self.arbiter.snapshot(),
             spans: self.spans.clone(),
             next_side: self.next_side,
-            store,
+            store: line_runs(&self.store),
             clock: self.clock,
             stats: self.stats,
         }
@@ -422,15 +419,7 @@ impl PlacementEngine {
     /// line that is not one cache line long, or an arbiter image
     /// [`HostLinkArbiter::restore`] rejects, is an error.
     pub fn from_snapshot(s: &PlacementEngineSnapshot) -> Result<Self, String> {
-        let store = s
-            .store
-            .iter()
-            .map(|(a, bytes)| {
-                LineData::try_from(bytes.as_slice())
-                    .map(|line| (*a, line))
-                    .map_err(|e| format!("placement store line {a:#x} has {e}"))
-            })
-            .collect::<Result<_, _>>()?;
+        let store = lines_from_runs("placement store line", &s.store)?;
         Ok(PlacementEngine {
             policy: s.policy.clone(),
             map: s.map.clone(),
@@ -463,8 +452,8 @@ pub struct PlacementEngineSnapshot {
     pub spans: Vec<(u64, u64)>,
     /// Next free side address.
     pub next_side: u64,
-    /// Side-tier lines, sorted by address.
-    pub store: Vec<(u64, Vec<u8>)>,
+    /// Side-tier lines as `(first address, bytes)` runs, ascending.
+    pub store: Vec<(u64, Bytes)>,
     /// The engine clock.
     pub clock: SimTime,
     /// Engine counters.
@@ -604,7 +593,7 @@ mod tests {
         let mut s = e.snapshot();
         s.store[0].1.pop();
         let err = PlacementEngine::from_snapshot(&s).unwrap_err();
-        assert!(err.contains("has 63 bytes, not 64"), "{err}");
+        assert!(err.contains("has 63 bytes, not a whole number"), "{err}");
     }
 
     #[test]

@@ -22,8 +22,8 @@ use teco_cxl::{
     TransferFault, PAYLOAD_FLIP,
 };
 use teco_mem::tier::Tier;
-use teco_mem::{Addr, LineData, RegionId, LINE_BYTES};
-use teco_sim::{Interval, SimTime};
+use teco_mem::{line_runs, lines_from_runs, Addr, LineData, RegionId, LINE_BYTES};
+use teco_sim::{Bytes, Interval, SimTime};
 
 /// Statistics a session accumulates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -999,12 +999,7 @@ impl TecoSession {
     pub fn snapshot(&self) -> SessionSnapshot {
         let mut degraded: Vec<u64> = self.degraded.iter().copied().collect();
         degraded.sort_unstable();
-        let shadow = self.shadow.as_ref().map(|shadow| {
-            let mut lines: Vec<(u64, Vec<u8>)> =
-                shadow.iter().map(|(&a, l)| (a, l.bytes().to_vec())).collect();
-            lines.sort_unstable_by_key(|(a, _)| *a);
-            lines
-        });
+        let shadow = self.shadow.as_ref().map(line_runs);
         SessionSnapshot {
             cfg: self.cfg.clone(),
             aggregator: self.aggregator.snapshot(),
@@ -1031,23 +1026,15 @@ impl TecoSession {
         s.cfg.validate().map_err(SessionError::Config)?;
         let shadow = s
             .shadow
-            .as_ref()
-            .map(|lines| {
-                lines
-                    .iter()
-                    .map(|(a, bytes)| {
-                        LineData::try_from(bytes.as_slice()).map(|line| (*a, line)).map_err(|e| {
-                            SessionError::Config(format!("audit shadow line {a:#x} has {e}"))
-                        })
-                    })
-                    .collect::<Result<HashMap<u64, LineData>, SessionError>>()
-            })
-            .transpose()?;
+            .as_deref()
+            .map(|runs| lines_from_runs("audit shadow line", runs))
+            .transpose()
+            .map_err(SessionError::Config)?;
         Ok(TecoSession {
             cfg: s.cfg.clone(),
             aggregator: Aggregator::restore(&s.aggregator),
-            giant_cache: GiantCache::restore(&s.giant_cache),
-            coherence: CoherenceEngine::restore(&s.coherence),
+            giant_cache: GiantCache::restore(&s.giant_cache).map_err(SessionError::Config)?,
+            coherence: CoherenceEngine::restore(&s.coherence).map_err(SessionError::Config)?,
             link: CxlLink::restore(&s.link).map_err(SessionError::Config)?,
             fence: CxlFence::from_stats(s.fence),
             dba_active: s.dba_active,
@@ -1098,9 +1085,9 @@ pub struct SessionSnapshot {
     pub degraded: Vec<u64>,
     /// Degraded region names, in degradation order.
     pub degraded_names: Vec<String>,
-    /// The auditor's shadow lines, sorted by address; `None` when auditing
-    /// is off.
-    pub shadow: Option<Vec<(u64, Vec<u8>)>>,
+    /// The auditor's shadow lines as `(first address, bytes)` runs,
+    /// ascending; `None` when auditing is off.
+    pub shadow: Option<Vec<(u64, Bytes)>>,
     /// Pool-media RAS state (latent faults, RNG stream, scrub cursor);
     /// `None` when RAS is off.
     pub media: Option<MediaRasSnapshot>,
@@ -1110,10 +1097,8 @@ pub struct SessionSnapshot {
 }
 
 // Hand-written (de)serialization: the vendored derive has no field
-// attributes, and `media`/`placement` must be omitted when `None` —
-// committed sweep reports digest serialized session snapshots
-// byte-for-byte, so a RAS-off, single-tier snapshot has to keep its
-// pre-RAS, pre-placement encoding exactly.
+// attributes, and `media`/`placement` are omitted when `None`, so a
+// RAS-off, single-tier snapshot carries no key for either feature.
 impl Serialize for SessionSnapshot {
     fn serialize(&self, w: &mut Writer) {
         w.begin_object();
@@ -1790,6 +1775,70 @@ mod tests {
         assert!(matches!(TecoSession::from_snapshot(&snap), Err(SessionError::Config(_))));
     }
 
+    /// `snap` encoded and decoded: a hostile image with a valid checksum.
+    fn through_envelope(snap: &SessionSnapshot) -> SessionSnapshot {
+        let bytes = teco_sim::encode_snapshot(snap);
+        teco_sim::decode_snapshot(&bytes).expect("a checksum-valid envelope decodes")
+    }
+
+    fn written_session() -> TecoSession {
+        let mut s = session();
+        let (_, base) = s.alloc_tensor("params", 4096).unwrap();
+        s.push_param_line(base, line_with(4), SimTime::ZERO).unwrap();
+        s
+    }
+
+    #[test]
+    fn from_snapshot_rejects_a_giant_cache_run_one_byte_short() {
+        let mut snap = written_session().snapshot();
+        snap.giant_cache.lines[0].1.pop();
+        let err = TecoSession::from_snapshot(&through_envelope(&snap)).unwrap_err();
+        assert!(matches!(&err, SessionError::Config(m) if m.contains("63 bytes")), "{err}");
+    }
+
+    #[test]
+    fn from_snapshot_rejects_coherence_msg_counts_one_entry_short() {
+        let mut snap = written_session().snapshot();
+        snap.coherence.msg_counts.pop();
+        let err = TecoSession::from_snapshot(&through_envelope(&snap)).unwrap_err();
+        assert!(matches!(&err, SessionError::Config(m) if m.contains("msg_counts")), "{err}");
+    }
+
+    #[test]
+    fn from_snapshot_rejects_line_runs_past_the_mapped_lines() {
+        let clean = written_session().snapshot();
+        let mapped = clean.giant_cache.next_base / 64;
+        let edits: [fn(&mut SessionSnapshot, u64); 4] = [
+            |s, n| s.giant_cache.quarantined.push((n - 1, 2)),
+            |s, n| s.giant_cache.lines[0].0 = n,
+            |s, n| s.coherence.states.push((n, 1, s.coherence.initial)),
+            |s, n| s.coherence.snoop.sharers.push((n, 1, 1)),
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut snap = clean.clone();
+            edit(&mut snap, mapped);
+            let err = TecoSession::from_snapshot(&through_envelope(&snap)).unwrap_err();
+            assert!(matches!(&err, SessionError::Config(m) if m.contains("past")), "{i}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_dirty_bytes_push_of_256_lines_queues_in_order() {
+        // DBA with 0 dirty bytes sends 0-byte payloads behind the 1 ns
+        // Aggregator latency: they all complete on one instant, so the
+        // 128-entry pending queue must keep them in admission order.
+        let cfg = TecoConfig::default()
+            .with_giant_cache_bytes(1 << 20)
+            .with_dirty_bytes(0)
+            .with_act_aft_steps(0);
+        let mut s = TecoSession::new(cfg).unwrap();
+        let (_, base) = s.alloc_tensor("params", 256 * 64).unwrap();
+        assert!(s.check_activation(0), "DBA active");
+        let iv = s.push_param_lines(base, &vec![LineData::zeroed(); 256], SimTime::ZERO).unwrap();
+        assert!(iv.end >= iv.start);
+        assert_eq!(s.stats().param_lines, 256);
+    }
+
     #[test]
     fn from_snapshot_rejects_a_short_audit_shadow_line() {
         let cfg = TecoConfig::default().with_giant_cache_bytes(1 << 20).with_audit(true);
@@ -1800,7 +1849,7 @@ mod tests {
         snap.shadow.as_mut().unwrap()[0].1.truncate(63);
         let err = TecoSession::from_snapshot(&snap).unwrap_err();
         assert!(
-            matches!(&err, SessionError::Config(m) if m.contains("has 63 bytes, not 64")),
+            matches!(&err, SessionError::Config(m) if m.contains("has 63 bytes, not a whole")),
             "{err}"
         );
     }

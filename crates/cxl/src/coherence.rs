@@ -538,20 +538,18 @@ impl CoherenceEngine {
         self.touched.count() + self.spill.len()
     }
 
-    /// Checkpoint image of the whole engine: mode, indexer spans, resident
-    /// dense state chunks, touched bitmap, spillover (sorted), the initial
-    /// state, per-opcode counts, traffic, the snoop filter, and the
-    /// poison-containment counter.
+    /// Checkpoint image of the whole engine: mode, indexer spans, the
+    /// touched lines' states as `(first, count, state)` runs, spillover
+    /// (sorted), the initial state, per-opcode counts, traffic, the snoop
+    /// filter, and the poison-containment counter.
     pub fn snapshot(&self) -> CoherenceSnapshot {
         let mut spill: Vec<(u64, LineState)> = self.spill.iter().map(|(&k, &v)| (k, v)).collect();
         spill.sort_unstable_by_key(|&(k, _)| k);
         CoherenceSnapshot {
             mode: self.mode,
             spans: self.indexer.span_parts(),
-            dense_len: self.dense.len() as u64,
-            dense_chunks: self.dense.resident_parts(),
-            touched_lines: self.touched.len() as u64,
-            touched_words: self.touched.word_parts(),
+            lines: self.dense.len() as u64,
+            states: self.dense.runs(&self.touched),
             spill,
             initial: self.initial,
             msg_counts: self.msg_counts.to_vec(),
@@ -562,28 +560,29 @@ impl CoherenceEngine {
         }
     }
 
-    /// Rebuild an engine from a snapshot.
-    pub fn restore(s: &CoherenceSnapshot) -> Self {
-        assert_eq!(
-            s.msg_counts.len(),
-            crate::packet::OPCODE_COUNT,
-            "opcode count mismatch in snapshot"
-        );
-        let mut msg_counts = [0u64; crate::packet::OPCODE_COUNT];
-        msg_counts.copy_from_slice(&s.msg_counts);
-        CoherenceEngine {
+    /// Rebuild an engine from a snapshot. Malformed state runs or a
+    /// per-opcode count list of the wrong length are an error.
+    pub fn restore(s: &CoherenceSnapshot) -> Result<Self, String> {
+        let msg_counts = <[u64; crate::packet::OPCODE_COUNT]>::try_from(s.msg_counts.as_slice())
+            .map_err(|_| {
+                let want = crate::packet::OPCODE_COUNT;
+                format!("coherence msg_counts has {} entries, not {want}", s.msg_counts.len())
+            })?;
+        let (dense, touched) = LineSlab::from_runs(s.initial, s.lines as usize, &s.states)
+            .map_err(|e| format!("coherence {e}"))?;
+        Ok(CoherenceEngine {
             mode: s.mode,
             indexer: LineIndexer::from_span_parts(&s.spans),
-            dense: LineSlab::from_parts(1, s.initial, s.dense_len as usize, &s.dense_chunks),
-            touched: LineBitmap::from_parts(s.touched_lines as usize, &s.touched_words),
+            dense,
+            touched,
             spill: s.spill.iter().copied().collect(),
             initial: s.initial,
             msg_counts,
             to_device: s.to_device,
             to_host: s.to_host,
-            snoop: SnoopFilter::restore(&s.snoop),
+            snoop: SnoopFilter::restore(&s.snoop)?,
             poisoned_rejects: s.poisoned_rejects,
-        }
+        })
     }
 }
 
@@ -594,14 +593,11 @@ pub struct CoherenceSnapshot {
     pub mode: ProtocolMode,
     /// Registered spans as `(first_line, n_lines, slot_base)` triples.
     pub spans: Vec<(u64, u64, u64)>,
-    /// Dense slab entry count.
-    pub dense_len: u64,
-    /// Resident dense chunks as `(chunk_index, states)`.
-    pub dense_chunks: Vec<(u64, Vec<LineState>)>,
-    /// Lines covered by the touched bitmap.
-    pub touched_lines: u64,
-    /// Raw touched-bitmap words.
-    pub touched_words: Vec<u64>,
+    /// Dense lines covered.
+    pub lines: u64,
+    /// States of the touched dense lines as `(first, count, state)` runs,
+    /// ascending; every other dense line is untouched.
+    pub states: Vec<(u64, u64, LineState)>,
     /// Spillover entries, sorted by line index.
     pub spill: Vec<(u64, LineState)>,
     /// State assumed for untouched lines.

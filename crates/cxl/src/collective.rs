@@ -45,7 +45,7 @@ use crate::ras::{MediaRas, MediaRasSnapshot, RasConfig, RasStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
-use teco_sim::{Bandwidth, SimRng, SimTime};
+use teco_sim::{Bandwidth, Bytes, SimRng, SimTime};
 
 /// Typed failure of a collective operation. Carries host/chunk/time
 /// context so the fabric layer can log, quarantine, and regroup without
@@ -835,11 +835,11 @@ pub struct ChunkedOp {
     /// Live host ids (ascending) this op reduces across.
     pub live: Vec<u64>,
     /// Source replicas: each live host's staged gradient, pristine.
-    pub inputs: Vec<Vec<u8>>,
+    pub inputs: Vec<Bytes>,
     /// Per-live-shard reduction accumulators.
-    pub reduced: Vec<Vec<u8>>,
+    pub reduced: Vec<Bytes>,
     /// The assembled global sum (filled during the gather phase).
-    pub result: Vec<u8>,
+    pub result: Bytes,
     /// Current phase.
     pub phase: CollectivePhase,
     /// Flat chunk index within the current phase.
@@ -886,7 +886,7 @@ impl ChunkedOp {
     /// every live host) and the accounting.
     pub fn into_result(self) -> Result<(Vec<u8>, CollectiveOutcome), CollectiveError> {
         match (self.done, self.outcome) {
-            (true, Some(outcome)) => Ok((self.result, outcome)),
+            (true, Some(outcome)) => Ok((self.result.0, outcome)),
             _ => Err(CollectiveError::Config("collective op is not complete".into())),
         }
     }
@@ -1002,7 +1002,7 @@ impl ChunkedCollective {
     /// decides the ring-fallback rung before any chunk moves.
     pub fn begin_all_reduce(
         &mut self,
-        staged: &[Vec<u8>],
+        staged: &[impl AsRef<[u8]>],
         ready: &[SimTime],
     ) -> Result<ChunkedOp, CollectiveError> {
         let hosts = self.pool.cfg.hosts;
@@ -1026,9 +1026,10 @@ impl ChunkedCollective {
             let at = ready.iter().copied().fold(SimTime::ZERO, SimTime::max);
             return Err(CollectiveError::NoSurvivors { time_ns: at.as_ns() });
         }
-        let g = live.iter().map(|&hst| staged[hst as usize].len() as u64).max().unwrap_or(0);
+        let g =
+            live.iter().map(|&hst| staged[hst as usize].as_ref().len() as u64).max().unwrap_or(0);
         for &hst in &live {
-            let len = staged[hst as usize].len() as u64;
+            let len = staged[hst as usize].as_ref().len() as u64;
             if len != g {
                 return Err(CollectiveError::Shape { what: "buffer bytes", expect: g, got: len });
             }
@@ -1046,7 +1047,8 @@ impl ChunkedCollective {
             && self.ras.stats().lines_retired >= self.fcfg.ring_fallback_retired_lines;
 
         let n = live.len();
-        let inputs: Vec<Vec<u8>> = live.iter().map(|&hst| staged[hst as usize].clone()).collect();
+        let inputs: Vec<Bytes> =
+            live.iter().map(|&hst| Bytes(staged[hst as usize].as_ref().to_vec())).collect();
         let start = live.iter().map(|&hst| ready[hst as usize]).fold(SimTime::ZERO, SimTime::max);
 
         if n == 1 {
@@ -1077,14 +1079,14 @@ impl ChunkedCollective {
         }
 
         let t0 = start + self.pool.cfg.phase_latency();
-        let reduced: Vec<Vec<u8>> =
-            (0..n).map(|i| reduce_init(&inputs, g as usize, n, i)).collect();
+        let reduced: Vec<Bytes> =
+            (0..n).map(|i| Bytes(reduce_init(&inputs, g as usize, n, i))).collect();
         Ok(ChunkedOp {
             g,
             live,
             inputs,
             reduced,
-            result: vec![0u8; g as usize],
+            result: Bytes(vec![0u8; g as usize]),
             phase: CollectivePhase::ReduceScatter,
             flat: 0,
             cur_shard: 0,
@@ -1504,10 +1506,10 @@ impl ChunkedCollective {
     fn run_ring_fallback(&mut self, op: &mut ChunkedOp) -> Result<bool, CollectiveError> {
         let n = op.live.len();
         let ring_cfg = CollectiveConfig { hosts: n, ..self.pool.cfg };
-        let mut bufs = op.inputs.clone();
+        let mut bufs: Vec<Vec<u8>> = op.inputs.iter().map(|b| b.0.clone()).collect();
         let ready = op.clocks.clone();
         let out = ring_all_reduce(&ring_cfg, &mut bufs, &ready)?;
-        op.result = bufs.swap_remove(0);
+        op.result = Bytes(bufs.swap_remove(0));
         self.fstats.ring_fallbacks += 1;
         self.pool.stats.all_reduces += 1;
         op.outcome = Some(CollectiveOutcome {
@@ -1526,7 +1528,7 @@ impl ChunkedCollective {
 }
 
 /// Initialize live shard `i`'s accumulator from its owner's own chunk.
-fn reduce_init(inputs: &[Vec<u8>], g: usize, n: usize, i: usize) -> Vec<u8> {
+fn reduce_init(inputs: &[Bytes], g: usize, n: usize, i: usize) -> Vec<u8> {
     inputs[i][shard_range(g, n, i)].to_vec()
 }
 

@@ -20,9 +20,10 @@
 use crate::dba::{Disaggregator, DisaggregatorSnapshot};
 use serde::{Deserialize, Reader, Serialize, Writer};
 use teco_mem::{
-    Addr, LineBitmap, LineData, LineSlab, Region, RegionId, RegionMap, RemapSnapshot, RemapTable,
-    LINE_BYTES,
+    Addr, LineBitmap, LineData, LineLenError, LineSlab, Region, RegionId, RegionMap, RemapSnapshot,
+    RemapTable, LINE_BYTES,
 };
+use teco_sim::{check_runs, Bytes};
 
 /// Errors from giant-cache configuration and use.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -369,39 +370,91 @@ impl GiantCache {
     }
 
     /// Checkpoint image of the cache: capacity/allocation accounting, the
-    /// region registry, resident data chunks, written/quarantined bitmaps
-    /// (quarantine state survives a restore: a line poisoned before the
-    /// kill is still quarantined after resume), and the disaggregator.
+    /// region registry, the written lines as `(first_line, bytes)` runs
+    /// (each line read through its data slot, so a retired line's bytes
+    /// come from its spare slot; unwritten lines read as zero and are not
+    /// captured), quarantined-line runs (quarantine state survives a
+    /// restore: a line poisoned before the kill is still quarantined after
+    /// resume), and the disaggregator.
     pub fn snapshot(&self) -> GiantCacheSnapshot {
+        let lines = self
+            .written
+            .runs()
+            .map(|(first, n)| {
+                let mut bytes = vec![0u8; n * LINE_BYTES];
+                // Retired lines break a run's physical contiguity; then
+                // each line resolves its own data slot.
+                if self.retired_lines() == 0 {
+                    self.data.copy_to(first * LINE_BYTES, &mut bytes);
+                } else {
+                    for (k, line) in bytes.chunks_exact_mut(LINE_BYTES).enumerate() {
+                        let slot = self.data_slot(Addr(((first + k) * LINE_BYTES) as u64));
+                        self.data.copy_to(slot * LINE_BYTES, line);
+                    }
+                }
+                (first as u64, Bytes(bytes))
+            })
+            .collect();
         GiantCacheSnapshot {
             capacity: self.capacity,
             allocated: self.allocated,
             regions: self.regions.regions().to_vec(),
-            data_len: self.data.len() as u64,
-            data_chunks: self.data.resident_parts(),
-            written_lines: self.written.len() as u64,
-            written_words: self.written.word_parts(),
-            quarantined_lines: self.quarantined.len() as u64,
-            quarantined_words: self.quarantined.word_parts(),
+            data_lines: (self.data.len() / LINE_BYTES) as u64,
+            lines,
+            quarantined: self.quarantined.runs().map(|(s, n)| (s as u64, n as u64)).collect(),
             disaggregator: self.disaggregator.snapshot(),
             next_base: self.next_base,
             remap: self.remap.as_ref().map(|r| r.snapshot()),
         }
     }
 
-    /// Rebuild a cache from a snapshot.
-    pub fn restore(s: &GiantCacheSnapshot) -> Self {
-        GiantCache {
+    /// Rebuild a cache from a snapshot. Line runs that are not whole
+    /// lines, or that are empty, unsorted, overlapping, outside the mapped
+    /// lines or resolve past the data arena, are an error.
+    pub fn restore(s: &GiantCacheSnapshot) -> Result<Self, String> {
+        let mapped = s.next_base / LINE_BYTES as u64;
+        if let Some((i, (_, bytes))) =
+            s.lines.iter().enumerate().find(|(_, (_, b))| !b.len().is_multiple_of(LINE_BYTES))
+        {
+            let e = LineLenError { len: bytes.len() };
+            return Err(format!("giant-cache line run {i} has {e}"));
+        }
+        let runs = s.lines.iter().map(|(first, bytes)| (*first, (bytes.len() / LINE_BYTES) as u64));
+        check_runs("giant-cache line", runs, mapped)?;
+        let mut gc = GiantCache {
             capacity: s.capacity,
             allocated: s.allocated,
             regions: RegionMap::from_regions(s.regions.clone()),
-            data: LineSlab::from_parts(LINE_BYTES, 0, s.data_len as usize, &s.data_chunks),
-            written: LineBitmap::from_parts(s.written_lines as usize, &s.written_words),
-            quarantined: LineBitmap::from_parts(s.quarantined_lines as usize, &s.quarantined_words),
+            data: LineSlab::new(LINE_BYTES, 0),
+            written: LineBitmap::new(),
+            quarantined: LineBitmap::from_runs(mapped as usize, &s.quarantined)?,
             disaggregator: Disaggregator::restore(&s.disaggregator),
             next_base: s.next_base,
             remap: s.remap.as_ref().map(RemapTable::from_snapshot),
+        };
+        gc.data.grow_lines(s.data_lines as usize);
+        gc.written.grow(mapped as usize);
+        for (first, bytes) in &s.lines {
+            let (first, n) = (*first as usize, bytes.len() / LINE_BYTES);
+            let mut slots = (first..first + n).map(|l| gc.data_slot(Addr((l * LINE_BYTES) as u64)));
+            if let Some(slot) = slots.find(|&slot| slot as u64 >= s.data_lines) {
+                return Err(format!("giant-cache line run at {first} reaches data slot {slot}"));
+            }
+            if gc.retired_lines() == 0 {
+                gc.data.for_segments_mut(first * LINE_BYTES, bytes.len(), |off, seg| {
+                    seg.copy_from_slice(&bytes[off..off + seg.len()]);
+                });
+            } else {
+                for (k, line) in bytes.chunks_exact(LINE_BYTES).enumerate() {
+                    let slot = gc.data_slot(Addr(((first + k) * LINE_BYTES) as u64));
+                    gc.data.for_segments_mut(slot * LINE_BYTES, LINE_BYTES, |_, seg| {
+                        seg.copy_from_slice(line);
+                    });
+                }
+            }
+            gc.written.set_range(first, n);
         }
+        Ok(gc)
     }
 }
 
@@ -414,43 +467,33 @@ pub struct GiantCacheSnapshot {
     pub allocated: u64,
     /// Registered tensor regions.
     pub regions: Vec<Region>,
-    /// Data-arena entry count (bytes).
-    pub data_len: u64,
-    /// Resident data chunks as `(chunk_index, bytes)`.
-    pub data_chunks: Vec<(u64, Vec<u8>)>,
-    /// Lines covered by the written bitmap.
-    pub written_lines: u64,
-    /// Raw written-bitmap words.
-    pub written_words: Vec<u64>,
-    /// Lines covered by the quarantine bitmap.
-    pub quarantined_lines: u64,
-    /// Raw quarantine-bitmap words.
-    pub quarantined_words: Vec<u64>,
+    /// Lines the data arena covers: the mapped lines, plus the spare
+    /// slots retired lines were re-homed to.
+    pub data_lines: u64,
+    /// The written lines as `(first_line, bytes)` runs, ascending.
+    pub lines: Vec<(u64, Bytes)>,
+    /// The quarantined lines as `(first_line, count)` runs, ascending.
+    pub quarantined: Vec<(u64, u64)>,
     /// The device-side disaggregator.
     pub disaggregator: DisaggregatorSnapshot,
     /// Bump-allocator frontier.
     pub next_base: u64,
-    /// Page-retirement remap table (absent when no spares are
-    /// configured — keeps pre-RAS snapshot bytes unchanged).
+    /// Page-retirement remap table (absent when no spares are configured).
     pub remap: Option<RemapSnapshot>,
 }
 
 // Hand-written (de)serialization: the vendored derive has no field
-// attributes, and `remap` must be omitted when `None` so pre-RAS
-// snapshots — digested byte-for-byte by the committed sweeps — are
-// unchanged.
+// attributes, and `remap` is omitted when `None`, so a cache without
+// spares carries no RAS key.
 impl Serialize for GiantCacheSnapshot {
     fn serialize(&self, w: &mut Writer) {
         w.begin_object();
         w.field("capacity", &self.capacity);
         w.field("allocated", &self.allocated);
         w.field("regions", &self.regions);
-        w.field("data_len", &self.data_len);
-        w.field("data_chunks", &self.data_chunks);
-        w.field("written_lines", &self.written_lines);
-        w.field("written_words", &self.written_words);
-        w.field("quarantined_lines", &self.quarantined_lines);
-        w.field("quarantined_words", &self.quarantined_words);
+        w.field("data_lines", &self.data_lines);
+        w.field("lines", &self.lines);
+        w.field("quarantined", &self.quarantined);
         w.field("disaggregator", &self.disaggregator);
         w.field("next_base", &self.next_base);
         if let Some(r) = &self.remap {
@@ -462,23 +505,19 @@ impl Serialize for GiantCacheSnapshot {
 
 impl Deserialize for GiantCacheSnapshot {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut capacity, mut allocated, mut regions, mut data_len) = (None, None, None, None);
-        let (mut data_chunks, mut written_lines, mut written_words) = (None, None, None);
-        let (mut quarantined_lines, mut quarantined_words) = (None, None);
+        let (mut capacity, mut allocated, mut regions, mut data_lines) = (None, None, None, None);
+        let (mut lines, mut quarantined, mut disaggregator) = (None, None, None);
         // A present `remap` key may itself hold `null`.
-        let (mut disaggregator, mut next_base, mut remap) = (None, None, None);
+        let (mut next_base, mut remap) = (None, None);
         r.begin_object()?;
         while let Some(key) = r.next_key()? {
             match &*key {
                 "capacity" => r.field(&mut capacity)?,
                 "allocated" => r.field(&mut allocated)?,
                 "regions" => r.field(&mut regions)?,
-                "data_len" => r.field(&mut data_len)?,
-                "data_chunks" => r.field(&mut data_chunks)?,
-                "written_lines" => r.field(&mut written_lines)?,
-                "written_words" => r.field(&mut written_words)?,
-                "quarantined_lines" => r.field(&mut quarantined_lines)?,
-                "quarantined_words" => r.field(&mut quarantined_words)?,
+                "data_lines" => r.field(&mut data_lines)?,
+                "lines" => r.field(&mut lines)?,
+                "quarantined" => r.field(&mut quarantined)?,
                 "disaggregator" => r.field(&mut disaggregator)?,
                 "next_base" => r.field(&mut next_base)?,
                 "remap" => r.field(&mut remap)?,
@@ -490,12 +529,9 @@ impl Deserialize for GiantCacheSnapshot {
             capacity: Reader::required(capacity, "capacity", TY)?,
             allocated: Reader::required(allocated, "allocated", TY)?,
             regions: Reader::required(regions, "regions", TY)?,
-            data_len: Reader::required(data_len, "data_len", TY)?,
-            data_chunks: Reader::required(data_chunks, "data_chunks", TY)?,
-            written_lines: Reader::required(written_lines, "written_lines", TY)?,
-            written_words: Reader::required(written_words, "written_words", TY)?,
-            quarantined_lines: Reader::required(quarantined_lines, "quarantined_lines", TY)?,
-            quarantined_words: Reader::required(quarantined_words, "quarantined_words", TY)?,
+            data_lines: Reader::required(data_lines, "data_lines", TY)?,
+            lines: Reader::required(lines, "lines", TY)?,
+            quarantined: Reader::required(quarantined, "quarantined", TY)?,
             disaggregator: Reader::required(disaggregator, "disaggregator", TY)?,
             next_base: Reader::required(next_base, "next_base", TY)?,
             remap: remap.flatten(),
@@ -833,17 +869,61 @@ mod tests {
         gc.write_line(Addr(128), fresh).unwrap();
 
         let snap = gc.snapshot();
+        // The retired line's bytes come from its spare slot.
+        assert_eq!(snap.lines, vec![(2, Bytes(fresh.bytes().to_vec()))]);
         let json = serde_json::to_string(&snap).unwrap();
-        let back = GiantCache::restore(&serde_json::from_str(&json).unwrap());
+        let back = GiantCache::restore(&serde_json::from_str(&json).unwrap()).unwrap();
         assert_eq!(back.retired_lines(), 1);
         assert_eq!(back.spares_left(), gc.spares_left());
         assert_eq!(back.read_line(Addr(128)).unwrap(), fresh);
+        assert_eq!(back.snapshot(), snap);
+    }
 
-        // A spare-free cache serializes without the remap field at all —
-        // pre-RAS snapshot bytes unchanged.
-        let plain = GiantCache::new(4096);
-        let text = serde_json::to_string(&plain.snapshot()).unwrap();
-        assert!(!text.contains("remap"));
+    #[test]
+    fn snapshot_captures_written_lines_only_and_restores_them() {
+        let mut gc = GiantCache::new(1 << 20);
+        gc.alloc_region("t", 1 << 20).unwrap();
+        let mut line = LineData::zeroed();
+        line.set_word(0, 9);
+        for i in [3u64, 4, 5, 9000] {
+            gc.write_line(Addr(i * 64), line).unwrap();
+        }
+        gc.quarantine_line(Addr(64)).unwrap();
+        let snap = gc.snapshot();
+        let runs: Vec<(u64, usize)> = snap.lines.iter().map(|(f, b)| (*f, b.len())).collect();
+        assert_eq!(runs, vec![(3, 192), (9000, 64)]);
+        assert_eq!(snap.quarantined, vec![(1, 1)]);
+        let back = GiantCache::restore(&snap).unwrap();
+        assert_eq!(back.snapshot(), snap);
+        for i in 0..(1u64 << 14) {
+            let a = Addr(i * 64);
+            assert_eq!(back.read_line(a), gc.read_line(a), "line {i}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_malformed_line_runs() {
+        let mut gc = GiantCache::new(4096);
+        gc.alloc_region("t", 4096).unwrap();
+        gc.write_line(Addr(0), LineData::zeroed()).unwrap();
+        let good = gc.snapshot();
+        let run = |first: u64, len: usize| (first, Bytes(vec![0; len]));
+        let bad_lines = [
+            vec![run(0, 63)],              // one byte short
+            vec![run(0, 0)],               // empty
+            vec![run(2, 64), run(1, 64)],  // unsorted
+            vec![run(0, 128), run(1, 64)], // overlapping
+            vec![run(63, 128)],            // past the mapped lines
+            vec![run(u64::MAX, 64)],       // past the mapped lines, overflowing
+        ];
+        for lines in bad_lines {
+            let s = GiantCacheSnapshot { lines, ..good.clone() };
+            assert!(GiantCache::restore(&s).is_err(), "{:?}", s.lines);
+        }
+        let s = GiantCacheSnapshot { quarantined: vec![(60, 5)], ..good.clone() };
+        assert!(GiantCache::restore(&s).is_err());
+        let s = GiantCacheSnapshot { data_lines: 0, ..good };
+        assert!(GiantCache::restore(&s).is_err(), "a line beyond the data arena");
     }
 
     #[test]

@@ -219,32 +219,34 @@ impl SnoopFilter {
         }
     }
 
-    /// Checkpoint image of the directory: registered spans, resident dense
-    /// chunks, occupancy bitmap, spillover (sorted for deterministic
-    /// serialization), and the high-water mark.
+    /// Checkpoint image of the directory: registered spans, the occupied
+    /// dense lines' sharer bytes as `(first, count, sharers)` runs,
+    /// spillover (sorted for deterministic serialization), and the
+    /// high-water mark.
     pub fn snapshot(&self) -> SnoopFilterSnapshot {
         let mut spill: Vec<(u64, u8)> = self.spill.iter().map(|(&k, &v)| (k, v)).collect();
         spill.sort_unstable();
         SnoopFilterSnapshot {
             spans: self.indexer.span_parts(),
-            dense_len: self.dense.len() as u64,
-            dense_chunks: self.dense.resident_parts(),
-            occupied_lines: self.dense_occupied.len() as u64,
-            occupied_words: self.dense_occupied.word_parts(),
+            lines: self.dense.len() as u64,
+            sharers: self.dense.runs(&self.dense_occupied),
             spill,
             peak_entries: self.peak_entries as u64,
         }
     }
 
-    /// Rebuild a directory from a snapshot.
-    pub fn restore(s: &SnoopFilterSnapshot) -> Self {
-        SnoopFilter {
+    /// Rebuild a directory from a snapshot; malformed sharer runs are an
+    /// error.
+    pub fn restore(s: &SnoopFilterSnapshot) -> Result<Self, String> {
+        let (dense, dense_occupied) = LineSlab::from_runs(0, s.lines as usize, &s.sharers)
+            .map_err(|e| format!("snoop-filter {e}"))?;
+        Ok(SnoopFilter {
             indexer: LineIndexer::from_span_parts(&s.spans),
-            dense: LineSlab::from_parts(1, 0, s.dense_len as usize, &s.dense_chunks),
-            dense_occupied: LineBitmap::from_parts(s.occupied_lines as usize, &s.occupied_words),
+            dense,
+            dense_occupied,
             spill: s.spill.iter().copied().collect(),
             peak_entries: s.peak_entries as usize,
-        }
+        })
     }
 }
 
@@ -253,14 +255,11 @@ impl SnoopFilter {
 pub struct SnoopFilterSnapshot {
     /// Registered spans as `(first_line, n_lines, slot_base)` triples.
     pub spans: Vec<(u64, u64, u64)>,
-    /// Dense slab entry count.
-    pub dense_len: u64,
-    /// Resident dense chunks as `(chunk_index, sharer bytes)`.
-    pub dense_chunks: Vec<(u64, Vec<u8>)>,
-    /// Lines covered by the occupancy bitmap.
-    pub occupied_lines: u64,
-    /// Raw occupancy-bitmap words.
-    pub occupied_words: Vec<u64>,
+    /// Dense lines covered.
+    pub lines: u64,
+    /// Sharer bytes of the occupied dense lines as `(first, count,
+    /// sharers)` runs, ascending.
+    pub sharers: Vec<(u64, u64, u8)>,
     /// Spillover entries, sorted by line index.
     pub spill: Vec<(u64, u8)>,
     /// High-water mark of tracked lines.

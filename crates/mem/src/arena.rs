@@ -16,6 +16,7 @@
 //! while the region-registered steady state never hashes.
 
 use crate::line::{Addr, LINE_BYTES};
+use teco_sim::check_runs;
 
 /// Resolved coordinate of one cache line.
 ///
@@ -256,33 +257,48 @@ impl<T: Copy> LineSlab<T> {
         }
     }
 
-    /// The materialized chunks as `(chunk_index, contents)` pairs, in
-    /// index order — together with `len()` and the construction-time
-    /// `(stride, fill)`, the complete checkpoint image of the slab.
-    /// Unmaterialized chunks are omitted; restoring through
-    /// [`LineSlab::from_parts`] leaves them unmaterialized again, so a
-    /// restore does not inflate memory over the original.
-    pub fn resident_parts(&self) -> Vec<(u64, Vec<T>)> {
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|c| (i as u64, c.to_vec())))
-            .collect()
+    /// The entries of the lines `marked` selects (stride 1), as maximal
+    /// `(first, count, value)` runs of one value, ascending — with `len()`
+    /// and the construction-time fill, the checkpoint image of a per-line
+    /// state slab whose unmarked lines do not matter.
+    pub fn runs(&self, marked: &LineBitmap) -> Vec<(u64, u64, T)>
+    where
+        T: PartialEq,
+    {
+        debug_assert_eq!(self.stride, 1, "state runs are per line");
+        let mut out: Vec<(u64, u64, T)> = Vec::new();
+        for (start, len) in marked.runs() {
+            for i in start..start + len {
+                let v = self.get(i);
+                match out.last_mut() {
+                    Some((first, count, last)) if *first + *count == i as u64 && *last == v => {
+                        *count += 1
+                    }
+                    _ => out.push((i as u64, 1, v)),
+                }
+            }
+        }
+        out
     }
 
-    /// Rebuild a slab from its construction parameters, total entry count,
-    /// and [`LineSlab::resident_parts`] output.
-    pub fn from_parts(stride: usize, fill: T, len: usize, parts: &[(u64, Vec<T>)]) -> Self {
-        let mut slab = LineSlab::new(stride, fill);
-        slab.len = len;
-        slab.chunks.resize_with(len.div_ceil(slab.chunk_len()), || None);
-        for (idx, contents) in parts {
-            let idx = *idx as usize;
-            assert!(idx < slab.chunks.len(), "chunk {idx} out of range");
-            assert_eq!(contents.len(), slab.chunk_len(), "chunk {idx} has wrong length");
-            slab.chunks[idx] = Some(contents.clone().into_boxed_slice());
+    /// Rebuild a per-line (stride 1) slab of `lines` lines and the bitmap
+    /// of the lines it holds from [`LineSlab::runs`] output. Runs that are
+    /// empty, unsorted, overlapping or past `lines` are an error.
+    pub fn from_runs(
+        fill: T,
+        lines: usize,
+        runs: &[(u64, u64, T)],
+    ) -> Result<(Self, LineBitmap), String> {
+        check_runs("state", runs.iter().map(|&(first, count, _)| (first, count)), lines as u64)?;
+        let (mut slab, mut marked) = (LineSlab::new(1, fill), LineBitmap::new());
+        slab.grow_lines(lines);
+        marked.grow(lines);
+        for &(first, count, v) in runs {
+            let (first, count) = (first as usize, count as usize);
+            slab.for_segments_mut(first, count, |_, seg| seg.fill(v));
+            marked.set_range(first, count);
         }
-        slab
+        Ok((slab, marked))
     }
 
     /// Visit each materialized contiguous segment of entries
@@ -415,18 +431,38 @@ impl LineBitmap {
         }
     }
 
-    /// The raw bit words, for a checkpoint. Paired with `len()`, this is
-    /// the full image (the popcount is derivable).
-    pub fn word_parts(&self) -> Vec<u64> {
-        self.words.clone()
+    /// The set bits as maximal `(start, len)` runs, ascending, found a
+    /// word at a time.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            let start = self.first_set_in(i, self.lines - i)?;
+            // The run ends at the first clear bit after `start`.
+            let mut end = start;
+            loop {
+                let (w, b) = (end / 64, end % 64);
+                let ones = (self.words[w] >> b).trailing_ones() as usize;
+                end += ones.min(64 - b);
+                if ones < 64 - b || end >= self.lines {
+                    break;
+                }
+            }
+            i = end.min(self.lines);
+            Some((start, i - start))
+        })
     }
 
-    /// Rebuild a bitmap from `lines` and [`LineBitmap::word_parts`] output;
-    /// the popcount is recomputed.
-    pub fn from_parts(lines: usize, words: &[u64]) -> Self {
-        assert_eq!(words.len(), lines.div_ceil(64), "word count does not match line count");
-        let ones = words.iter().map(|w| w.count_ones() as usize).sum();
-        LineBitmap { words: words.to_vec(), lines, ones }
+    /// A bitmap of `lines` lines with the bits of `runs` set, as
+    /// [`LineBitmap::runs`] yields them. Runs that are empty, unsorted,
+    /// overlapping or past `lines` are an error.
+    pub fn from_runs(lines: usize, runs: &[(u64, u64)]) -> Result<Self, String> {
+        check_runs("line", runs.iter().copied(), lines as u64)?;
+        let mut b = LineBitmap::new();
+        b.grow(lines);
+        for &(start, len) in runs {
+            b.set_range(start as usize, len as usize);
+        }
+        Ok(b)
     }
 
     /// Iterate the indices of all set bits, ascending.
@@ -543,6 +579,46 @@ mod tests {
         b.set_range(60, 10);
         assert_eq!(b.count(), 11);
         assert_eq!(b.first_set_in(0, 200), Some(60));
+    }
+
+    #[test]
+    fn bitmap_runs_span_words_and_round_trip() {
+        let mut b = LineBitmap::new();
+        b.grow(300);
+        assert_eq!(b.runs().count(), 0);
+        b.set_range(0, 3);
+        b.set_range(60, 140); // words 0..=3, ending at 199
+        b.set(250);
+        b.set_range(290, 10); // up to the last line
+        let runs: Vec<(usize, usize)> = b.runs().collect();
+        assert_eq!(runs, vec![(0, 3), (60, 140), (250, 1), (290, 10)]);
+        let parts: Vec<(u64, u64)> = runs.iter().map(|&(s, n)| (s as u64, n as u64)).collect();
+        let back = LineBitmap::from_runs(300, &parts).unwrap();
+        assert_eq!((back.words.clone(), back.count()), (b.words.clone(), b.count()));
+        for bad in [vec![(0, 0)], vec![(5, 1), (4, 1)], vec![(0, 3), (2, 1)], vec![(299, 2)]] {
+            assert!(LineBitmap::from_runs(300, &bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn slab_runs_split_on_value_changes_and_skip_unmarked_lines() {
+        let mut s: LineSlab<u8> = LineSlab::new(1, 0);
+        let mut marked = LineBitmap::new();
+        s.grow_lines(2 * CHUNK_LINES);
+        marked.grow(2 * CHUNK_LINES);
+        for i in CHUNK_LINES - 2..CHUNK_LINES + 3 {
+            *s.get_mut(i) = if i < CHUNK_LINES + 1 { 7 } else { 0 };
+            marked.set(i);
+        }
+        *s.get_mut(9) = 5; // materialized but unmarked: not captured
+        let runs = s.runs(&marked);
+        let at = CHUNK_LINES as u64;
+        assert_eq!(runs, vec![(at - 2, 3, 7), (at + 1, 2, 0)]);
+        let (back, back_marked) = LineSlab::from_runs(0, 2 * CHUNK_LINES, &runs).unwrap();
+        assert_eq!(back.runs(&back_marked), runs);
+        assert_eq!(back_marked.count(), 5);
+        assert_eq!(back.chunks_resident(), 2);
+        assert!(LineSlab::from_runs(0u8, 4, &[(3, 2, 1)]).is_err());
     }
 
     #[test]

@@ -34,8 +34,9 @@ pub use arena::{LineBitmap, LineIndexer, LineSlab, LineSlot, CHUNK_LINES};
 pub use cache::{AccessResult, Cache, CacheConfig, CacheStats, Hierarchy, MemWriteback};
 pub use dram::{Dir, Dram, DramAccess, DramConfig, DramResult};
 pub use line::{
-    classify_change, lines_as_bytes, lines_as_bytes_mut, lines_for_bytes, Addr, ByteChange,
-    LineData, LineLenError, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES,
+    classify_change, line_runs, lines_as_bytes, lines_as_bytes_mut, lines_for_bytes,
+    lines_from_bytes, lines_from_runs, Addr, ByteChange, LineData, LineLenError, LINE_BYTES,
+    WORDS_PER_LINE, WORD_BYTES,
 };
 pub use region::{Region, RegionId, RegionMap};
 pub use remap::{RemapError, RemapSnapshot, RemapTable};

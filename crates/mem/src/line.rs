@@ -3,7 +3,9 @@
 //! operates on these payloads bit-exactly.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use teco_sim::{check_runs, Bytes};
 
 /// Cache-line size in bytes. The paper (and gem5 Table II) uses 64-byte
 /// lines throughout; DBA packs "the last N bytes of each 4-byte parameter"
@@ -85,32 +87,65 @@ pub fn lines_as_bytes_mut(lines: &mut [LineData]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(lines.as_mut_ptr().cast(), lines.len() * LINE_BYTES) }
 }
 
-/// A byte slice that is not one cache line long, refused by
-/// `LineData::try_from(&[u8])`.
+/// Decoded bytes that are not a whole number of cache lines, refused by
+/// [`lines_from_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineLenError {
-    /// The slice's length in bytes.
+    /// The byte count.
     pub len: usize,
 }
 
 impl fmt::Display for LineLenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} bytes, not {LINE_BYTES}", self.len)
+        write!(f, "{} bytes, not a whole number of {LINE_BYTES}-byte lines", self.len)
     }
 }
 
 impl std::error::Error for LineLenError {}
 
-/// The one checked way from decoded bytes to a line: snapshot decoders
-/// turn a wrong-length line into a typed error instead of a panic.
-impl TryFrom<&[u8]> for LineData {
-    type Error = LineLenError;
-
-    fn try_from(bytes: &[u8]) -> Result<Self, LineLenError> {
-        <[u8; LINE_BYTES]>::try_from(bytes)
-            .map(LineData)
-            .map_err(|_| LineLenError { len: bytes.len() })
+/// The one checked way from decoded bytes to lines: snapshot decoders
+/// turn a ragged length into a typed error instead of a panic.
+pub fn lines_from_bytes(bytes: &[u8]) -> Result<Vec<LineData>, LineLenError> {
+    if !bytes.len().is_multiple_of(LINE_BYTES) {
+        return Err(LineLenError { len: bytes.len() });
     }
+    let mut lines = vec![LineData::zeroed(); bytes.len() / LINE_BYTES];
+    lines_as_bytes_mut(&mut lines).copy_from_slice(bytes);
+    Ok(lines)
+}
+
+/// Address-keyed lines as runs of consecutive lines, each `(first
+/// address, bytes)`, ascending: the snapshot image of a sparse line store.
+pub fn line_runs(lines: &HashMap<u64, LineData>) -> Vec<(u64, Bytes)> {
+    let mut sorted: Vec<(u64, &LineData)> = lines.iter().map(|(&a, l)| (a, l)).collect();
+    sorted.sort_unstable_by_key(|&(a, _)| a);
+    let mut runs: Vec<(u64, Bytes)> = Vec::new();
+    for (a, line) in sorted {
+        match runs.last_mut() {
+            Some((first, run)) if *first + run.len() as u64 == a => {
+                run.extend_from_slice(line.bytes())
+            }
+            _ => runs.push((a, Bytes(line.bytes().to_vec()))),
+        }
+    }
+    runs
+}
+
+/// Rebuild a sparse line store from [`line_runs`] output. A run that is
+/// not whole lines, or that is empty, unsorted or overlapping, is an
+/// error naming `what`.
+pub fn lines_from_runs(
+    what: &str,
+    runs: &[(u64, Bytes)],
+) -> Result<HashMap<u64, LineData>, String> {
+    check_runs(what, runs.iter().map(|(a, b)| (*a, b.len() as u64)), u64::MAX)?;
+    let mut out = HashMap::new();
+    for (i, (first, bytes)) in runs.iter().enumerate() {
+        let lines = lines_from_bytes(bytes).map_err(|e| format!("{what} run {i} has {e}"))?;
+        let addr = |k: usize| first + (k * LINE_BYTES) as u64;
+        out.extend(lines.into_iter().enumerate().map(|(k, l)| (addr(k), l)));
+    }
+    Ok(out)
 }
 
 impl Default for LineData {

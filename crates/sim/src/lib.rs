@@ -11,7 +11,8 @@
 //! - [`SimRng`]: explicitly-seeded, forkable randomness so every experiment
 //!   is reproducible;
 //! - [`encode_snapshot`] / [`decode_snapshot`]: the checksummed checkpoint
-//!   envelope every layer's snapshot travels in.
+//!   envelope every layer's snapshot travels in, with [`Bytes`] for the
+//!   byte payloads inside it.
 //!
 //! Nothing in this crate knows about CXL or deep learning; it is the generic
 //! substrate the higher crates (`teco-mem`, `teco-cxl`, `teco-offload`)
@@ -29,7 +30,7 @@ pub use resource::{
 };
 pub use rng::SimRng;
 pub use snapshot::{
-    decode_snapshot, encode_snapshot, snapshot_checksum, SnapshotError, SNAPSHOT_HEADER_BYTES,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    check_runs, decode_snapshot, encode_snapshot, snapshot_checksum, Base64Error, Bytes,
+    SnapshotError, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use time::{Bandwidth, SimTime};

@@ -364,9 +364,13 @@ impl BoundedServer {
         service: SimTime,
         latency: SimTime,
     ) -> (SimTime, Interval) {
-        // Drop entries that have certainly drained by `ready`.
+        // The queue is FIFO: no job enters before the one ahead of it. Jobs
+        // with a positive service time complete strictly in order, so this
+        // only binds when zero-byte jobs pile up on one completion instant.
+        let earliest = ready.max(self.server.last_ready);
+        // Drop entries that have certainly drained by then.
         while let Some(&front) = self.completions.front() {
-            if front <= ready {
+            if front <= earliest {
                 self.completions.pop_front();
             } else {
                 break;
@@ -375,13 +379,11 @@ impl BoundedServer {
         // If still full, the producer must wait for the oldest in-flight
         // entry to finish.
         let admitted = if self.completions.len() >= self.capacity {
-            let idx = self.completions.len() - self.capacity;
-            let unblock = self.completions[idx];
-            self.stall += unblock - ready;
-            unblock
+            self.completions[self.completions.len() - self.capacity]
         } else {
-            ready
+            earliest
         };
+        self.stall += admitted - ready;
         // Entries that drained while the producer was stalled have left the
         // queue by the admission instant.
         while let Some(&front) = self.completions.front() {
@@ -517,6 +519,24 @@ mod tests {
             assert_eq!(adm, SimTime::from_ns(i * 10));
         }
         assert_eq!(q.stall_time(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn zero_byte_jobs_are_admitted_in_order() {
+        // Zero-byte jobs behind a 10 ns pipeline all complete on one
+        // instant; the third waits for it and the fourth may not enter
+        // ahead of the third.
+        let lat = SimTime::from_ns(10);
+        let mut q = BoundedServer::new(Bandwidth::from_gb_per_sec(16.0), 2);
+        let admitted: Vec<SimTime> =
+            (0..4).map(|_| q.submit_with_latency(SimTime::ZERO, 0, lat).0).collect();
+        let ns = SimTime::from_ns;
+        assert_eq!(admitted, [SimTime::ZERO, SimTime::ZERO, ns(10), ns(10)]);
+        // Both late admissions stall from their own ready time.
+        assert_eq!(q.stall_time(), ns(20));
+        let mut run = BoundedServer::new(Bandwidth::from_gb_per_sec(16.0), 2);
+        run.submit_run(SimTime::ZERO, 4, 0, lat);
+        assert_eq!(run.snapshot(), q.snapshot());
     }
 
     /// `n` single submissions of one run, with the span they cover.

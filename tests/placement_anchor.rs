@@ -11,6 +11,8 @@
 //! extra config key, a reordered snapshot field, a changed stat — the
 //! digest moves and this test fails. Regenerate (only for an *intended*
 //! byte change) with `TECO_BLESS=1 cargo test --test placement_anchor`.
+//! The two session lines were re-blessed once, for snapshot format 2,
+//! after checking that the new bytes are the old snapshots re-encoded.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

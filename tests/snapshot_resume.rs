@@ -9,19 +9,25 @@
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
+use teco::core::fabric_chaos::ChaosDriver;
+use teco::core::resume::{Driver, StepPoint};
 use teco::core::{
-    run_resumed, run_uninterrupted, ClusterConfig, KillPoint, PlacementPolicy, ResumeWorkload,
-    SessionSnapshot, StepBoundary, TecoConfig, TecoSession, TecoTrainer, TieredPolicy,
+    run_resumed, run_uninterrupted, ChunkPoint, ClusterConfig, ClusterDriver, ClusterWorkload,
+    FabricChaosWorkload, FabricDriver, FabricWorkload, KillPoint, PlacementPolicy, ResumeWorkload,
+    SessionError, SessionSnapshot, StepBoundary, TecoConfig, TecoSession, TecoTrainer,
+    TieredPolicy,
 };
-use teco::cxl::{FaultConfig, HostLinkArbiter, HostLinkArbiterSnapshot, ProtocolMode, RasConfig};
+use teco::cxl::{
+    CollectivePhase, FaultConfig, HostLinkArbiter, HostLinkArbiterSnapshot, ProtocolMode, RasConfig,
+};
 use teco::dl::data::MarkovTextGen;
 use teco::dl::{
     capture_params, restore_params, AdamConfig, OffloadedAdam, TinyGpt, TinyGptConfig, Visitable,
 };
 use teco::mem::{Addr, LineData};
 use teco::sim::{
-    decode_snapshot, encode_snapshot, snapshot_checksum, Bandwidth, SimRng, SimTime, SnapshotError,
-    SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_snapshot, encode_snapshot, snapshot_checksum, Bandwidth, Bytes, SimRng, SimTime,
+    SnapshotError, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
 proptest! {
@@ -95,6 +101,11 @@ fn random_line(rng: &mut SimRng) -> LineData {
 /// parameters and an optimizer moment (which the tiered policy places in
 /// host DRAM) — and capture it.
 fn driven_session(cfg: TecoConfig, seed: u64) -> SessionSnapshot {
+    driven(cfg, seed).snapshot()
+}
+
+/// The session [`driven_session`] captures.
+fn driven(cfg: TecoConfig, seed: u64) -> TecoSession {
     let cfg = cfg.with_act_aft_steps(2).with_giant_cache_bytes(1 << 20);
     let mut s = TecoSession::new(cfg).expect("config validates");
     let [params, grads, moment] = ["params", "grads", "moment_m"]
@@ -113,7 +124,35 @@ fn driven_session(cfg: TecoConfig, seed: u64) -> SessionSnapshot {
         }
         now = s.cxlfence_params(now);
     }
-    s.snapshot()
+    s
+}
+
+/// A media-RAS session stopped right after a maintenance pass retired
+/// lines to spare slots: they stay quarantined until the next push
+/// rebuilds them. A second tensor is mapped and never written.
+fn ras_session_with_retired_lines() -> TecoSession {
+    let cfg = TecoConfig::default()
+        .with_giant_cache_bytes(1 << 20)
+        .with_act_aft_steps(10)
+        .with_ras(RasConfig {
+            media_faults_per_tick: 1.5,
+            scrub_lines_per_tick: 8,
+            spare_lines: 64,
+            seed: 42,
+        });
+    let mut s = TecoSession::new(cfg).expect("config validates");
+    let (_, base) = s.alloc_tensor("params", 64 * 64).expect("tensor fits");
+    s.alloc_tensor("untouched", 64 * 64).expect("tensor fits");
+    let mut rng = SimRng::seed_from_u64(42);
+    for step in 0..40 {
+        let lines: Vec<LineData> = (0..64).map(|_| random_line(&mut rng)).collect();
+        s.push_param_lines(base, &lines, SimTime::ZERO).expect("param push");
+        s.check_activation(step);
+        if s.giant_cache().quarantined_count() > 0 && s.giant_cache().retired_lines() > 1 {
+            return s;
+        }
+    }
+    panic!("no step ended with retired, quarantined lines");
 }
 
 /// Link faults, tiered placement, the audit shadow, and media RAS with
@@ -156,6 +195,9 @@ fn snapshots_reencode_byte_identically() {
     for (what, cfg) in cases {
         assert_reencodes(&driven_session(cfg, 3), what);
     }
+    let retired = ras_session_with_retired_lines().snapshot();
+    assert!(retired.giant_cache.remap.as_ref().is_some_and(|r| !r.entries.is_empty()));
+    assert_reencodes(&retired, "RAS with retired lines");
     let all = driven_session(everything_on(), 3);
     assert!(all.shadow.is_some() && all.media.is_some() && all.placement.is_some());
     assert!(all.giant_cache.remap.is_some() && !all.cfg.ras.is_off());
@@ -177,6 +219,150 @@ fn snapshots_reencode_byte_identically() {
         ..arbiter
     };
     assert_reencodes(&busy, "quarantine and fan-in");
+}
+
+/// The driver of `w` stopped at `at` and captured whole.
+fn captured_at<D: Driver>(w: &D::Workload, at: D::Point) -> D::Snapshot
+where
+    D::Error: std::fmt::Debug,
+{
+    let mut d = D::new(w).expect("driver builds");
+    while d.step() < at.step() {
+        d.advance(None, None).expect("step runs");
+    }
+    d.advance(None, Some(at)).expect("driver reaches the point");
+    d.capture()
+}
+
+/// Cluster, fabric and chaos snapshots, with their pooled optimizer
+/// state, reduced gradients and in-flight collective buffers as base64,
+/// decode and re-encode byte for byte.
+#[test]
+fn cluster_fabric_and_chaos_snapshots_reencode_byte_identically() {
+    let mid = KillPoint { step: 1, boundary: StepBoundary::AfterGradFence };
+    let cluster = captured_at::<ClusterDriver>(&ClusterWorkload::small(2, 5), mid);
+    let pool = &cluster.cluster.pool;
+    assert!(!pool.params.is_empty() && !pool.grads.is_empty());
+    assert_reencodes(&cluster, "cluster");
+    let fabric = captured_at::<FabricDriver>(&FabricWorkload::small(2, 2, 5), mid);
+    assert!(!fabric.global_grads.is_empty());
+    assert_reencodes(&fabric, "fabric");
+    let mut w = FabricChaosWorkload::small(2, 2, 77).with_port_fault_rate(0.25);
+    w.fabric.base.steps = 4;
+    w.fabric.collective.chunk_bytes = 64;
+    let at = ChunkPoint { step: 1, phase: CollectivePhase::AllGather, chunk: 1 };
+    assert_reencodes(&captured_at::<ChaosDriver>(&w, at), "chaos mid-collective");
+}
+
+/// Only written lines are captured, so a restore must leave every other
+/// line reading exactly as on the live session: after a round trip,
+/// every mapped giant-cache line — written or not, retired to a spare
+/// slot or quarantined — reads the same, errors included.
+#[test]
+fn restored_sessions_read_every_mapped_line_like_the_live_one() {
+    let ras = ras_session_with_retired_lines();
+    let gc = ras.giant_cache();
+    assert!(gc.quarantined_count() > 0 && gc.retired_lines() > 0);
+    assert!(gc.lines_written() < gc.mapped_lines(), "some mapped lines are unwritten");
+    let sessions = [
+        ("RAS with retired lines", ras),
+        ("everything on", driven(everything_on(), 5)),
+        ("faulty invalidation", driven(faulty_invalidation_workload(0).cfg, 3)),
+    ];
+    for (what, live) in sessions {
+        let bytes = encode_snapshot(&live.snapshot());
+        let back = decode_snapshot::<SessionSnapshot>(&bytes).expect("decodes");
+        let back = TecoSession::from_snapshot(&back).expect("restores");
+        for i in 0..live.giant_cache().mapped_lines() as u64 {
+            let a = Addr(i * 64);
+            let want = live.giant_cache().read_line(a);
+            assert_eq!(back.giant_cache().read_line(a), want, "{what}: line {i}");
+        }
+        assert_eq!(encode_snapshot(&back.snapshot()), bytes, "{what}: restore is lossless");
+    }
+}
+
+/// Replace the first `"lines":[[<n>,"<base64>"` string in a session
+/// payload with `text`.
+fn with_first_line_run(payload: &[u8], text: &str) -> Vec<u8> {
+    let json = std::str::from_utf8(payload).expect("payloads are UTF-8");
+    let key = json.find(r#""lines":[["#).expect("a written line run");
+    let open = key + json[key..].find('"').map(|q| q + 1).expect("key") + 8;
+    let open = open + json[open..].find('"').expect("run string") + 1;
+    let close = open + json[open..].find('"').expect("closing quote");
+    [&json[..open], text, &json[close..]].concat().into_bytes()
+}
+
+/// Hostile version-2 payloads behind a valid checksum: malformed base64
+/// is a `Corrupt` decode, and byte runs of the wrong length or run lists
+/// that are unsorted, overlapping or out of range are typed restore
+/// errors. Nothing panics.
+#[test]
+fn malformed_v2_payloads_behind_a_valid_checksum_fail_typed() {
+    let live = driven(everything_on(), 5);
+    let clean = encode_snapshot(&live.snapshot());
+    let payload = &clean[SNAPSHOT_HEADER_BYTES..];
+    assert!(TecoSession::from_snapshot(&decode_snapshot(&framed(payload)).unwrap()).is_ok());
+    for text in ["AAA!", "AA=A", "A===", "AAAAA", "AAA", "AB=="] {
+        let bad = framed(&with_first_line_run(payload, text));
+        match decode_snapshot::<SessionSnapshot>(&bad) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("base64"), "{text}: {msg}"),
+            other => panic!("{text}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+    // 63 bytes: valid base64 that is not a whole line.
+    let short = framed(&with_first_line_run(payload, &"A".repeat(84)));
+    let snap = decode_snapshot::<SessionSnapshot>(&short).expect("valid base64");
+    assert!(matches!(TecoSession::from_snapshot(&snap), Err(SessionError::Config(_))));
+
+    let base = decode_snapshot::<SessionSnapshot>(&clean).unwrap();
+    type Edit = (&'static str, fn(&mut SessionSnapshot));
+    let edits: [Edit; 8] = [
+        ("unsorted line runs", |s| {
+            // Split the first run in two and swap the halves.
+            let (first, bytes) = s.giant_cache.lines.remove(0);
+            let (head, tail) = bytes.split_at(64);
+            s.giant_cache.lines.insert(0, (first + 1, Bytes(tail.to_vec())));
+            s.giant_cache.lines.insert(1, (first, Bytes(head.to_vec())));
+        }),
+        ("overlapping line runs", |s| {
+            let first = s.giant_cache.lines[0].clone();
+            s.giant_cache.lines.insert(1, first);
+        }),
+        ("line run out of range", |s| s.giant_cache.lines[0].0 = u64::MAX - 1),
+        ("quarantine run out of range", |s| s.giant_cache.quarantined.push((u64::MAX, 1))),
+        ("unsorted state runs", |s| {
+            let (first, count, state) = s.coherence.states.remove(0);
+            s.coherence.states.insert(0, (first + 1, count - 1, state));
+            s.coherence.states.insert(1, (first, 1, state));
+        }),
+        ("empty state run", |s| s.coherence.states[0].1 = 0),
+        ("overlapping store runs", |s| {
+            let store = &mut s.placement.as_mut().expect("tiered").store;
+            store.push(store[0].clone());
+        }),
+        ("shadow run not whole lines", |s| {
+            s.shadow.as_mut().expect("audited")[0].1.push(0);
+        }),
+    ];
+    assert!(base.giant_cache.lines[0].1.len() > 64 && base.coherence.states[0].1 > 1);
+    for (what, edit) in edits {
+        let mut snap = base.clone();
+        edit(&mut snap);
+        let back = decode_snapshot::<SessionSnapshot>(&encode_snapshot(&snap)).expect(what);
+        let err = TecoSession::from_snapshot(&back).expect_err(what);
+        assert!(matches!(err, SessionError::Config(_)), "{what}: {err}");
+    }
+}
+
+/// Version 1 wrote every byte as a JSON integer; this build reads only
+/// version 2, and says so.
+#[test]
+fn a_version_1_envelope_is_unsupported() {
+    let mut bytes = encode_snapshot(&driven_session(TecoConfig::default(), 1));
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let err = decode_snapshot::<SessionSnapshot>(&bytes).unwrap_err();
+    assert_eq!(err, SnapshotError::UnsupportedVersion(1));
 }
 
 /// Frame `payload` with a header whose checksum matches, so decoding
